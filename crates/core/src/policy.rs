@@ -18,9 +18,10 @@
 //!   in the paper.
 //!
 //! Two execution paths share the same weights: a tape-based
-//! [`PtrNetPolicy::rollout`] for REINFORCE training, and a gradient-free
-//! [`PtrNetPolicy::decode`] used at deployment (this is what Fig. 3 times
-//! as RESPECT's solving time).
+//! [`PtrNetPolicy::rollout`] for REINFORCE training, which attends densely
+//! over every node, and a gradient-free [`PtrNetPolicy::decode`] used at
+//! deployment (this is what Fig. 3 times as RESPECT's solving time), which
+//! scores only the unmasked candidates of each step.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use respect_graph::{Dag, NodeId};
 use respect_nn::attention::AttentionSpec;
 use respect_nn::lstm::LstmSpec;
-use respect_nn::tape::{masked_softmax, masked_softmax_cols, Tape, Var};
+use respect_nn::tape::{Tape, Var};
 use respect_nn::{init, Bindings, Matrix, Params};
 
 use crate::embedding::EmbeddingConfig;
@@ -217,12 +218,9 @@ impl PtrNetPolicy {
             let g = glimpse.glimpse(tape, context, proj_g, state.h, mask.as_slice());
             let scores = pointer.scores(tape, proj_p, g);
             let logp = tape.log_softmax_masked(scores, mask.as_slice());
-            let idx = match mode {
-                DecodeMode::Greedy => argmax_unmasked_col(tape.value(logp), 0, mask.as_slice()),
-                DecodeMode::Sample(rng) => {
-                    sample_unmasked_col(tape.value(logp), 0, mask.as_slice(), rng)
-                }
-            };
+            let (cands, lv) = (mask.candidates(), tape.value(logp));
+            let logits = cands.iter().map(|&i| lv.get(i, 0)).collect();
+            let idx = choose(mode, cands, logits, exp_in_place);
             let lp = tape.pick(logp, idx);
             log_prob_total = Some(match log_prob_total {
                 None => lp,
@@ -324,13 +322,10 @@ impl PtrNetPolicy {
             let scores = pointer.scores_batch(tape, proj_p, g, n);
             let logp = tape.log_softmax_masked_cols(scores, &flat_masks);
             let mut choices = Vec::with_capacity(b);
-            for (g, mode) in modes.iter_mut().enumerate() {
-                let mask = &flat_masks[g * n..(g + 1) * n];
-                let idx = match mode {
-                    DecodeMode::Greedy => argmax_unmasked_col(tape.value(logp), g, mask),
-                    DecodeMode::Sample(rng) => sample_unmasked_col(tape.value(logp), g, mask, rng),
-                };
-                choices.push(idx);
+            for (g, (mode, mask)) in modes.iter_mut().zip(&masks).enumerate() {
+                let (cands, lv) = (mask.candidates(), tape.value(logp));
+                let logits = cands.iter().map(|&i| lv.get(i, g)).collect();
+                choices.push(choose(mode, cands, logits, exp_in_place));
             }
             let lp = tape.pick_cols(logp, &choices); // [1, B]
             log_prob_total = Some(match log_prob_total {
@@ -352,73 +347,28 @@ impl PtrNetPolicy {
         }
     }
 
-    /// Gradient-free greedy/sampled decode for deployment (fast path).
+    /// Gradient-free greedy/sampled decode for deployment (this is what
+    /// Fig. 3 times): [`decode_batch`](PtrNetPolicy::decode_batch) over one
+    /// graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` does not match `dag` and the embedding config.
     pub fn decode(&self, dag: &Dag, features: &Matrix, mode: &mut DecodeMode) -> Vec<NodeId> {
-        let n = dag.len();
-        let h = self.config.hidden;
-        let p = |name: &str| self.params.get(name).expect("registered weight");
-        let proj = p("proj.w").matmul(features); // [h, n]
-
-        // encoder
-        let w_enc = p("enc.w");
-        let b_enc = p("enc.b");
-        let mut hx = Matrix::zeros(h, 1);
-        let mut cx = Matrix::zeros(h, 1);
-        let mut context = Matrix::zeros(h, n);
-        for i in 0..n {
-            let x = column(&proj, i);
-            let (nh, nc) = lstm_step_raw(w_enc, b_enc, &x, &hx, &cx, h);
-            for r in 0..h {
-                context.set(r, i, nh.get(r, 0));
-            }
-            hx = nh;
-            cx = nc;
-        }
-        let g_ref = p("glimpse.w_ref").matmul(&context);
-        let p_ref = p("pointer.w_ref").matmul(&context);
-
-        // decoder
-        let w_dec = p("dec.w");
-        let b_dec = p("dec.b");
-        let mut mask = self.mask_init(dag);
-        let mut d = p("dec0").clone();
-        let mut sequence = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (nh, nc) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
-            hx = nh;
-            cx = nc;
-            // glimpse
-            let gu = attention_scores_raw(
-                &g_ref,
-                p("glimpse.w_q"),
-                p("glimpse.v"),
-                p("glimpse.b"),
-                &hx,
-            );
-            let gprobs = masked_softmax(&gu, mask.as_slice());
-            let g = context.matmul(&gprobs);
-            // pointer
-            let u =
-                attention_scores_raw(&p_ref, p("pointer.w_q"), p("pointer.v"), p("pointer.b"), &g);
-            let idx = match mode {
-                DecodeMode::Greedy => argmax_unmasked_col(&u, 0, mask.as_slice()),
-                DecodeMode::Sample(rng) => {
-                    let probs = masked_softmax(&u, mask.as_slice());
-                    sample_probs_col(&probs, 0, mask.as_slice(), rng)
-                }
-            };
-            let v = NodeId(idx as u32);
-            sequence.push(v);
-            mask.emit(dag, v);
-            d = column(&proj, idx);
-        }
-        sequence
+        self.decode_batch(&[(dag, features)], std::slice::from_mut(mode))
+            .pop()
+            .expect("one sequence per graph")
     }
 
-    /// Gradient-free **batched** decode: `B` equal-sized graphs run in
-    /// lock step with one kernel call per decoding step. Per-graph results
-    /// match `B` serial [`decode`](PtrNetPolicy::decode) calls with the
-    /// same modes; use this for deployment-time throughput and for the
+    /// Gradient-free **batched** decode: `B` equal-sized graphs run the
+    /// encoder and decoder LSTMs in lock step, one kernel call per step.
+    /// Glimpse and pointer attention score only each graph's unmasked
+    /// candidates (on average about one node per step of a Table I graph
+    /// under dependency masking), in ascending id order from `0.0`, so the
+    /// sequences equal those of a dense kernel that scores every node and
+    /// masks afterwards, bit for bit: every term it adds for a masked node
+    /// is an exact `±0`. Per-graph results match `B` one-graph calls with
+    /// the same modes; use this for deployment-time throughput and for the
     /// greedy-rollout baseline during training.
     ///
     /// # Panics
@@ -442,6 +392,7 @@ impl PtrNetPolicy {
         }
         let h = self.config.hidden;
         let p = |name: &str| self.params.get(name).expect("registered weight");
+        let (w_enc, b_enc, w_dec, b_dec) = (p("enc.w"), p("enc.b"), p("dec.w"), p("dec.b"));
 
         let mut stacked = Matrix::zeros(feat, b * n);
         for (g, (_, features)) in items.iter().enumerate() {
@@ -454,8 +405,6 @@ impl PtrNetPolicy {
         let proj = p("proj.w").matmul(&stacked); // [h, B*n]
 
         // encoder, all graphs in lock step
-        let w_enc = p("enc.w");
-        let b_enc = p("enc.b");
         let mut hx = Matrix::zeros(h, b);
         let mut cx = Matrix::zeros(h, b);
         let mut context = Matrix::zeros(h, b * n);
@@ -471,12 +420,11 @@ impl PtrNetPolicy {
             hx = nh;
             cx = nc;
         }
-        let g_ref = p("glimpse.w_ref").matmul(&context);
-        let p_ref = p("pointer.w_ref").matmul(&context);
+        let glimpse = RawHead::new(&self.params, "glimpse", &context);
+        let pointer = RawHead::new(&self.params, "pointer", &context);
+        let context = context.transpose(); // node-major: row g*n + i
 
         // decoder
-        let w_dec = p("dec.w");
-        let b_dec = p("dec.b");
         let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
         let dec0 = p("dec0");
         let mut d = Matrix::zeros(h, b);
@@ -486,48 +434,35 @@ impl PtrNetPolicy {
             }
         }
         let mut sequences = vec![Vec::with_capacity(n); b];
-        let mut flat_masks = vec![false; b * n];
         for _ in 0..n {
             let (nh, nc) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
             hx = nh;
             cx = nc;
+            // glimpse: the softmax-weighted sum of the candidates' contexts
+            let gq = glimpse.queries(&hx);
+            let mut gl = vec![0.0f32; b * h]; // lane-major
             for (g, mask) in masks.iter().enumerate() {
-                flat_masks[g * n..(g + 1) * n].copy_from_slice(mask.as_slice());
+                let cands = mask.candidates();
+                let mut probs = glimpse.scores(g * n, cands, &gq[g * h..(g + 1) * h]);
+                softmax(&mut probs);
+                let out = &mut gl[g * h..(g + 1) * h];
+                for (&i, &pr) in cands.iter().zip(&probs) {
+                    let row = &context.as_slice()[(g * n + i) * h..(g * n + i + 1) * h];
+                    for (a, &c) in out.iter_mut().zip(row) {
+                        *a += c * pr;
+                    }
+                }
             }
-            // glimpse
-            let gu = attention_scores_raw(
-                &g_ref,
-                p("glimpse.w_q"),
-                p("glimpse.v"),
-                p("glimpse.b"),
-                &hx,
-            );
-            let gprobs = masked_softmax_cols(&gu, &flat_masks);
-            let gl = context.block_matvec(&gprobs);
             // pointer
-            let u = attention_scores_raw(
-                &p_ref,
-                p("pointer.w_q"),
-                p("pointer.v"),
-                p("pointer.b"),
-                &gl,
-            );
+            let pq = pointer.queries(&Matrix::from_vec(b, h, gl).transpose());
             let mut next_cols = Vec::with_capacity(b);
             for (g, mode) in modes.iter_mut().enumerate() {
-                let mask = &flat_masks[g * n..(g + 1) * n];
-                let idx = match mode {
-                    DecodeMode::Greedy => argmax_unmasked_col(&u, g, mask),
-                    DecodeMode::Sample(rng) => {
-                        // softmax of lane g only (bitwise-equal to the
-                        // per-column batched softmax)
-                        let probs = masked_softmax(&column(&u, g), mask);
-                        sample_probs_col(&probs, 0, mask, rng)
-                    }
-                };
-                let v = NodeId(idx as u32);
+                let cands = masks[g].candidates();
+                let u = pointer.scores(g * n, cands, &pq[g * h..(g + 1) * h]);
+                let v = NodeId(choose(mode, cands, u, softmax) as u32);
                 sequences[g].push(v);
                 masks[g].emit(items[g].0, v);
-                next_cols.push(g * n + idx);
+                next_cols.push(g * n + v.index());
             }
             d = proj.gather_cols(&next_cols);
         }
@@ -535,29 +470,28 @@ impl PtrNetPolicy {
     }
 }
 
-/// Visited/ready mask bookkeeping shared by both decode paths.
-/// `masked[i] = visited[i] || (dependency && pending_parents[i] > 0)`.
+/// Visited/ready bookkeeping shared by every decode path:
+/// `masked[i] = visited[i] || (dependency && pending_parents[i] > 0)`, and
+/// `candidates` lists the unmasked ids in ascending order (the ready set
+/// under dependency masking, the unvisited set without it).
 #[derive(Debug)]
 struct MaskState {
-    visited: Vec<bool>,
     pending_parents: Vec<usize>,
     dependency: bool,
     masked: Vec<bool>,
+    candidates: Vec<usize>,
 }
 
 impl MaskState {
     fn new(dag: &Dag, dependency: bool) -> Self {
         let pending: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
-        let masked = if dependency {
-            pending.iter().map(|&d| d > 0).collect()
-        } else {
-            vec![false; dag.len()]
-        };
+        let masked: Vec<bool> = pending.iter().map(|&d| dependency && d > 0).collect();
+        let candidates = (0..dag.len()).filter(|&i| !masked[i]).collect();
         MaskState {
-            visited: vec![false; dag.len()],
             pending_parents: pending,
             dependency,
             masked,
+            candidates,
         }
     }
 
@@ -565,26 +499,28 @@ impl MaskState {
         &self.masked
     }
 
+    fn candidates(&self) -> &[usize] {
+        &self.candidates
+    }
+
+    /// Emits candidate `v`; under dependency masking a child whose last
+    /// parent this was becomes a candidate (it cannot have been emitted).
     fn emit(&mut self, dag: &Dag, v: NodeId) {
-        self.visited[v.index()] = true;
-        self.masked[v.index()] = true;
+        let i = v.index();
+        let slot = self.candidates.binary_search(&i).expect("a candidate");
+        self.candidates.remove(slot);
+        self.masked[i] = true;
         if self.dependency {
             for &s in dag.succs(v) {
                 self.pending_parents[s.index()] -= 1;
-                if self.pending_parents[s.index()] == 0 && !self.visited[s.index()] {
+                if self.pending_parents[s.index()] == 0 {
                     self.masked[s.index()] = false;
+                    let slot = self.candidates.binary_search(&s.index()).expect_err("new");
+                    self.candidates.insert(slot, s.index());
                 }
             }
         }
     }
-}
-
-fn column(m: &Matrix, i: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), 1);
-    for r in 0..m.rows() {
-        out.set(r, 0, m.get(r, i));
-    }
-    out
 }
 
 /// One raw LSTM step over `B` lanes (`x`, `h`, `c` are `[·, B]`; the bias
@@ -633,93 +569,108 @@ fn lstm_step_raw(
     (nh, nc)
 }
 
-/// Additive-attention scores over `B` stacked context blocks: `projected`
-/// is `[h, B*n]` graph-major, `q` is one query column per graph, and the
-/// result is `[n, B]`. With `B = 1` this is the serial scores kernel.
-fn attention_scores_raw(
-    projected: &Matrix,
-    w_q: &Matrix,
-    v: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-) -> Matrix {
-    let bsz = q.cols();
-    let n = projected.cols() / bsz;
-    let mut qp = w_q.matmul(q);
-    for r in 0..qp.rows() {
-        let bv = b.get(r, 0);
-        for g in 0..bsz {
-            qp.set(r, g, qp.get(r, g) + bv);
+/// One additive-attention head for the gradient-free decode. The
+/// projected context `W_ref C` is stored node-major (row `g*n + i` is node
+/// `i` of graph `g`), so a candidate's `h` values are contiguous.
+struct RawHead<'a> {
+    w_q: &'a Matrix,
+    v: &'a [f32],
+    b: &'a Matrix,
+    refs: Matrix,
+}
+
+impl<'a> RawHead<'a> {
+    fn new(params: &'a Params, name: &str, context: &Matrix) -> Self {
+        let p = |w: &str| {
+            params
+                .get(&format!("{name}.{w}"))
+                .expect("registered weight")
+        };
+        RawHead {
+            w_q: p("w_q"),
+            v: p("v").as_slice(),
+            b: p("b"),
+            refs: p("w_ref").matmul(context).transpose(),
         }
     }
-    let h = projected.rows();
-    let mut scores = Matrix::zeros(n, bsz);
-    let proj = projected.as_slice();
-    // row-major sweep: contiguous access to each projection row
-    for r in 0..h {
-        let vr = v.get(r, 0);
-        for g in 0..bsz {
-            let qpr = qp.get(r, g);
-            let row = &proj[r * (n * bsz) + g * n..r * (n * bsz) + (g + 1) * n];
-            for (i, &p) in row.iter().enumerate() {
-                let cur = scores.get(i, g);
-                scores.set(i, g, cur + vr * (p + qpr).tanh());
+
+    /// Queries `W_q q + b` for the `[h, B]` lanes `q`, lane-major.
+    fn queries(&self, q: &Matrix) -> Vec<f32> {
+        let mut qp = self.w_q.matmul(q);
+        for r in 0..qp.rows() {
+            let bv = self.b.get(r, 0);
+            for g in 0..qp.cols() {
+                qp.set(r, g, qp.get(r, g) + bv);
             }
         }
+        qp.transpose().into_vec()
     }
-    scores
+
+    /// Scores `vᵀ tanh(W_ref C_i + q)` of the candidates `cands` of the
+    /// graph whose rows start at `base`, each summed over `r` from `0.0`.
+    fn scores(&self, base: usize, cands: &[usize], q: &[f32]) -> Vec<f32> {
+        let h = q.len();
+        let refs = self.refs.as_slice();
+        cands
+            .iter()
+            .map(|&i| {
+                let mut acc = 0.0f32;
+                let row = &refs[(base + i) * h..(base + i + 1) * h];
+                for ((&p, &qr), &vr) in row.iter().zip(q).zip(self.v) {
+                    acc += vr * (p + qr).tanh();
+                }
+                acc
+            })
+            .collect()
+    }
 }
 
-fn argmax_unmasked_col(logits: &Matrix, col: usize, mask: &[bool]) -> usize {
-    assert_eq!(mask.len(), logits.rows(), "mask length");
-    let mut best = None;
-    for (i, &masked) in mask.iter().enumerate() {
-        if masked {
-            continue;
-        }
-        let v = logits.get(i, col);
-        match best {
-            None => best = Some((i, v)),
-            Some((_, bv)) if v > bv => best = Some((i, v)),
-            _ => {}
-        }
+/// Softmax in place; equals the unmasked entries of
+/// [`masked_softmax`](respect_nn::tape::masked_softmax) bit for bit.
+fn softmax(xs: &mut [f32]) {
+    let mx = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0;
+    for x in xs.iter_mut() {
+        *x = (*x - mx).exp();
+        z += *x;
     }
-    best.expect("at least one unmasked candidate").0
+    for x in xs.iter_mut() {
+        *x /= z;
+    }
 }
 
-fn sample_unmasked_col(logp: &Matrix, col: usize, mask: &[bool], rng: &mut StdRng) -> usize {
-    assert_eq!(mask.len(), logp.rows(), "mask length");
-    // logp already normalized: exponentiate the unmasked entries
-    let mut probs = Matrix::zeros(logp.rows(), 1);
-    for (i, &masked) in mask.iter().enumerate() {
-        if !masked {
-            probs.set(i, 0, logp.get(i, col).exp());
-        }
-    }
-    sample_probs_col(&probs, 0, mask, rng)
+/// Exponentiates log-probabilities in place.
+fn exp_in_place(xs: &mut [f32]) {
+    xs.iter_mut().for_each(|x| *x = x.exp());
 }
 
-fn sample_probs_col(probs: &Matrix, col: usize, mask: &[bool], rng: &mut StdRng) -> usize {
-    assert_eq!(mask.len(), probs.rows(), "mask length");
-    let total: f32 = mask
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| !m)
-        .map(|(i, _)| probs.get(i, col))
-        .sum();
-    let mut r = rng.gen_range(0.0..1.0f32) * total;
-    let mut last = None;
-    for (i, &masked) in mask.iter().enumerate() {
-        if masked {
-            continue;
+/// Picks one of `cands` (ascending ids, `logits[j]` scoring `cands[j]`):
+/// the first highest logit when greedy, else a draw in proportion to
+/// `to_probs(logits)`. In id order this is a dense masked scan's choice.
+fn choose(
+    mode: &mut DecodeMode,
+    cands: &[usize],
+    mut logits: Vec<f32>,
+    to_probs: fn(&mut [f32]),
+) -> usize {
+    let j = match mode {
+        DecodeMode::Greedy => {
+            (1..logits.len()).fold(0, |best, j| if logits[j] > logits[best] { j } else { best })
         }
-        last = Some(i);
-        r -= probs.get(i, col);
-        if r <= 0.0 {
-            return i;
+        DecodeMode::Sample(rng) => {
+            to_probs(&mut logits);
+            let total: f32 = logits.iter().sum();
+            let mut r = rng.gen_range(0.0..1.0f32) * total;
+            logits
+                .iter()
+                .position(|&p| {
+                    r -= p;
+                    r <= 0.0
+                })
+                .unwrap_or(logits.len() - 1)
         }
-    }
-    last.expect("at least one unmasked candidate")
+    };
+    cands[j]
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Corrupt-input hardening for the `.rspp` policy format: truncated,
 //! garbage, and bit-flipped inputs must surface as [`WeightIoError`]s —
-//! never panics, never silent half-loaded policies.
+//! never panics, never silent half-loaded policies, never a policy that
+//! cannot decode.
 
 use respect_core::model_io::{read_policy, write_policy};
-use respect_core::{PolicyConfig, PtrNetPolicy};
+use respect_core::{embed, DecodeMode, PolicyConfig, PtrNetPolicy};
+use respect_graph::{SyntheticConfig, SyntheticSampler};
 use respect_nn::serialize::WeightIoError;
 
 fn valid_bytes() -> Vec<u8> {
@@ -43,21 +45,41 @@ fn garbage_bytes_are_an_error() {
 #[test]
 fn single_bit_flips_never_panic() {
     // A flipped bit may still parse (weights are arbitrary f32s), but the
-    // reader must either error or return a policy — never panic or hang.
-    // Length fields are the dangerous bytes; flip every bit of the first
-    // 64 bytes (config header + first weight-entry headers) plus a spread
-    // of later positions.
+    // reader must either error or return a policy that decodes — never
+    // panic, hang or hand back weights the header does not describe. Flip
+    // every bit of the file and decode a fixture graph with every policy
+    // that loads.
     let bytes = valid_bytes();
-    let positions: Vec<usize> = (0..bytes.len().min(64))
-        .chain((64..bytes.len()).step_by(97))
-        .collect();
-    for pos in positions {
+    let dag = SyntheticSampler::new(
+        SyntheticConfig {
+            num_nodes: 12,
+            ..SyntheticConfig::paper(3)
+        },
+        5,
+    )
+    .sample();
+    let mut loaded = 0;
+    for pos in 0..bytes.len() {
         for bit in 0..8 {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 1 << bit;
-            let _ = read_policy(corrupted.as_slice());
+            let Ok(policy) = read_policy(corrupted.as_slice()) else {
+                continue;
+            };
+            loaded += 1;
+            let feats = embed(&dag, &policy.config().embedding);
+            let seq = policy.decode(&dag, &feats, &mut DecodeMode::Greedy);
+            let mut ids: Vec<usize> = seq.iter().map(|v| v.index()).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..dag.len()).collect::<Vec<_>>(), "flip {pos}.{bit}");
         }
     }
+    // the weight data is most of the file, and any finite value loads
+    assert!(
+        loaded > bytes.len() * 8 / 2,
+        "{loaded} of {} flips loaded",
+        bytes.len() * 8
+    );
 }
 
 #[test]

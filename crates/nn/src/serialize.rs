@@ -80,8 +80,8 @@ pub fn write_params<W: Write>(mut w: W, params: &Params) -> Result<(), WeightIoE
 ///
 /// # Errors
 ///
-/// Returns [`WeightIoError::Format`] for bad magic/version/truncation and
-/// [`WeightIoError::Io`] for reader failures.
+/// Returns [`WeightIoError::Format`] for bad magic/version/truncation or a
+/// repeated weight name, and [`WeightIoError::Io`] for reader failures.
 pub fn read_params<R: Read>(mut r: R) -> Result<Params, WeightIoError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -115,6 +115,9 @@ pub fn read_params<R: Read>(mut r: R) -> Result<Params, WeightIoError> {
         for x in &mut data {
             r.read_exact(&mut buf)?;
             *x = f32::from_le_bytes(buf);
+        }
+        if params.get(&name).is_some() {
+            return Err(WeightIoError::Format(format!("duplicate weight {name:?}")));
         }
         params.insert(name, Matrix::from_vec(rows, cols, data));
     }
@@ -206,6 +209,17 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = read_params(buf.as_slice()).unwrap_err();
         assert!(matches!(err, WeightIoError::Io(_)));
+    }
+
+    #[test]
+    fn rejects_duplicate_names() {
+        let mut buf = Vec::new();
+        write_params(&mut buf, &sample()).unwrap();
+        // "enc.b" -> "enc.w": the second entry now repeats the first name
+        let at = buf.windows(5).position(|w| w == b"enc.b").unwrap();
+        buf[at + 4] = b'w';
+        let err = read_params(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "{err}");
     }
 
     #[test]

@@ -735,8 +735,9 @@ impl Tape {
     }
 }
 
-/// Masked softmax over a column vector (shared by the tape op and by
-/// gradient-free inference paths).
+/// Masked softmax over a column vector: the forward kernel of
+/// [`Tape::softmax_masked`], and the reference the gradient-free decode's
+/// candidate-only softmax matches bit for bit.
 ///
 /// # Panics
 ///
@@ -767,7 +768,7 @@ pub fn masked_softmax(x: &Matrix, mask: &[bool]) -> Matrix {
 
 /// Per-column masked softmax over `[n, B]` (`masks[g*n + i]` masks row `i`
 /// of column `g`); each column matches [`masked_softmax`] bit for bit.
-/// Shared by the tape op and gradient-free batched inference.
+/// The forward kernel of [`Tape::softmax_masked_cols`].
 ///
 /// # Panics
 ///

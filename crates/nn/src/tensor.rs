@@ -227,8 +227,8 @@ impl Matrix {
     /// blocks `[C_0 | C_1 | ...] ∈ [h, B*n]` and `p ∈ [n, B]`, returns
     /// `[h, B]` whose column `g` is `C_g @ p[:, g]`. Accumulation order
     /// per output element matches [`Matrix::matmul`]'s column-vector fast
-    /// path; shared by the batched tape op and the gradient-free batched
-    /// decode.
+    /// path. The forward kernel of the batched glimpse tape op,
+    /// [`Tape::block_matvec`](crate::Tape::block_matvec).
     ///
     /// # Panics
     ///
