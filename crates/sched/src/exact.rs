@@ -6,14 +6,23 @@
 //! when each `D` is down-closed. The solver runs a stage-by-stage dynamic
 //! program over boundary ideals with branch-and-bound pruning:
 //!
-//! * segments are grown node-by-node in a canonical order (increasing
-//!   position in a fixed topological order), so every ideal extension is
-//!   enumerated exactly once;
-//! * the [`CostModel`] segment cost is monotone
-//!   nondecreasing under growth, so a segment whose cost reaches the
-//!   incumbent bound is pruned with all its extensions;
+//! * nodes are relabelled by position in a fixed topological order
+//!   ([`order::default_order`]); a segment grows only by a ready node
+//!   above the last position it took, so every ideal extension is
+//!   enumerated exactly once. The ready set is a bitset over positions
+//!   and the ideal is flipped in place, so growing a segment allocates
+//!   nothing;
+//! * the [`CostModel`] segment cost is monotone nondecreasing under
+//!   growth, so a segment whose cost reaches the incumbent bound is pruned
+//!   with all its extensions. Cut-in bytes depend only on the boundary, so
+//!   costing an extension takes three additions;
 //! * an even-split lower bound on the remaining nodes prunes boundaries
 //!   that cannot beat the incumbent;
+//! * a stage's frontier keeps each boundary's least bottleneck and the
+//!   index of its parent in the previous frontier, which is sorted by
+//!   bottleneck with ties in [`NodeSet`] order;
+//! * on the last stage only the whole residual completes a schedule, so
+//!   it is costed in closed form, one state per boundary;
 //! * the incumbent starts at the packing-DP solution (optionally tightened
 //!   by simulated annealing), so the search only explores strictly
 //!   improving regions.
@@ -22,7 +31,8 @@
 //! in which case the incumbent is returned with
 //! [`ExactSolution::proven_optimal`] `= false` (mirroring an ILP solver's
 //! time-limited anytime behaviour). Tests certify optimality against
-//! exhaustive enumeration on small graphs.
+//! exhaustive enumeration on small graphs; `tests/exact_oracle.rs` pins
+//! the search bitwise to a reference implementation.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -31,10 +41,9 @@ use respect_graph::{Dag, NodeId};
 
 use crate::anneal::Annealing;
 use crate::cost::{CostModel, SegmentAccumulator};
-use crate::order;
-use crate::pack;
 use crate::schedule::{Schedule, ScheduleError};
 use crate::Scheduler;
+use crate::{order, pack};
 
 /// Dense bitset over node ids, ordered by its words (the exact search
 /// breaks bottleneck ties in this order).
@@ -49,15 +58,6 @@ impl NodeSet {
         NodeSet {
             words: vec![0u64; n.div_ceil(64)].into_boxed_slice(),
         }
-    }
-
-    /// Full set over `n` nodes.
-    pub fn full(n: usize) -> Self {
-        let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(NodeId(i as u32));
-        }
-        s
     }
 
     /// Membership test.
@@ -78,37 +78,10 @@ impl NodeSet {
         self.words[v.index() / 64] &= !(1 << (v.index() % 64));
     }
 
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Union with another set of the same universe.
-    pub fn union(&self, other: &NodeSet) -> NodeSet {
-        NodeSet {
-            words: self
-                .words
-                .iter()
-                .zip(other.words.iter())
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
-    }
-
     /// Iterates members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(NodeId((wi * 64) as u32 + b))
-                }
-            })
-        })
+        let ids = (0..self.words.len() * 64).map(|i| NodeId(i as u32));
+        ids.filter(|&v| self.contains(v))
     }
 }
 
@@ -122,7 +95,9 @@ pub struct ExactSolution {
     /// `true` when the search completed (the schedule is provably
     /// optimal); `false` when the time budget expired first.
     pub proven_optimal: bool,
-    /// Segment states explored, a proxy for ILP branch count.
+    /// Search states explored, a proxy for ILP branch count: every
+    /// segment costed on the stages before the last, plus one per
+    /// boundary whose residual the last stage costs.
     pub states_explored: u64,
 }
 
@@ -207,9 +182,6 @@ impl ExactScheduler {
         if num_stages == 0 {
             return Err(ScheduleError::NoStages);
         }
-        let n = dag.len();
-        let topo = order::default_order(dag);
-        let pos = order::positions(dag, &topo);
         let start_time = Instant::now();
 
         // ---- incumbent -----------------------------------------------------
@@ -229,53 +201,13 @@ impl ExactScheduler {
             }
         }
 
-        let total_params = dag.total_param_bytes();
-        let total_macs = dag.total_macs();
-        let full = NodeSet::full(n);
-
-        struct Entry {
-            bottleneck: f64,
-            covered_params: u64,
-            covered_macs: u64,
-        }
-
-        let mut frontier: HashMap<NodeSet, Entry> = HashMap::new();
-        frontier.insert(
-            NodeSet::empty(n),
-            Entry {
-                bottleneck: 0.0,
-                covered_params: 0,
-                covered_macs: 0,
-            },
-        );
-        // parent_of[k]: boundary after stage k -> boundary after stage k-1
-        let mut parent_of: Vec<HashMap<NodeSet, NodeSet>> = vec![HashMap::new(); num_stages + 1];
-
-        let mut states: u64 = 0;
+        let mut search = Search::new(dag, &self.model, num_stages, best, ub);
+        // layers[k]: the boundaries after stage k, in expansion order
+        let mut layers = vec![vec![(NodeSet::empty(dag.len()), Entry::default())]];
         let mut timed_out = false;
-
-        struct Dfs<'a> {
-            dag: &'a Dag,
-            model: &'a CostModel,
-            pos: &'a [usize],
-            ready: Vec<NodeId>,
-            indeg_rem: Vec<u32>,
-            seg: NodeSet,
-        }
-
         'stages: for k in 1..=num_stages {
-            let mut next: HashMap<NodeSet, Entry> = HashMap::new();
-            let mut boundaries: Vec<(&NodeSet, &Entry)> = frontier.iter().collect();
-            // expand promising boundaries first so ub tightens early; ties
-            // go by set order, not by the map's per-process hash order
-            boundaries.sort_by(|a, b| {
-                a.1.bottleneck
-                    .partial_cmp(&b.1.bottleneck)
-                    .expect("finite")
-                    .then_with(|| a.0.cmp(b.0))
-            });
-            for (boundary, entry) in boundaries {
-                if entry.bottleneck >= ub {
+            for (index, (_, entry)) in layers[k - 1].iter().enumerate() {
+                if entry.bottleneck >= search.ub {
                     continue;
                 }
                 if let Some(budget) = self.time_budget {
@@ -284,201 +216,269 @@ impl ExactScheduler {
                         break 'stages;
                     }
                 }
-                // ready set of the residual DAG beyond `boundary`
-                let mut indeg_rem = vec![0u32; n];
-                let mut ready = Vec::new();
-                for v in dag.node_ids() {
-                    if boundary.contains(v) {
-                        continue;
-                    }
-                    let d = dag
-                        .preds(v)
-                        .iter()
-                        .filter(|&&p| !boundary.contains(p))
-                        .count() as u32;
-                    indeg_rem[v.index()] = d;
-                    if d == 0 {
-                        ready.push(v);
-                    }
-                }
-                let mut dfs = Dfs {
-                    dag,
-                    model: &self.model,
-                    pos: &pos,
-                    ready,
-                    indeg_rem,
-                    seg: NodeSet::empty(n),
-                };
-
-                // Recursive segment enumeration in canonical (topo-position)
-                // order; implemented iteratively-recursively via a closure
-                // stack to keep borrows simple.
-                #[allow(clippy::too_many_arguments)]
-                fn extend(
-                    dfs: &mut Dfs<'_>,
-                    boundary: &NodeSet,
-                    base_bottleneck: f64,
-                    covered_params: u64,
-                    covered_macs: u64,
-                    acc: SegmentAccumulator,
-                    last_pos: usize,
-                    k: usize,
-                    num_stages: usize,
-                    total_params: u64,
-                    total_macs: u64,
-                    full: &NodeSet,
-                    ub: &mut f64,
-                    best: &mut Schedule,
-                    next: &mut HashMap<NodeSet, Entry>,
-                    parent_of: &mut [HashMap<NodeSet, NodeSet>],
-                    states: &mut u64,
-                ) {
-                    let candidates: Vec<NodeId> = dfs
-                        .ready
-                        .iter()
-                        .copied()
-                        .filter(|&v| last_pos == usize::MAX || dfs.pos[v.index()] > last_pos)
-                        .collect();
-                    for v in candidates {
-                        let mut acc2 = acc;
-                        acc2.push(dfs.dag, v, |p| boundary.contains(p));
-                        let cost = acc2.cost(dfs.model);
-                        *states += 1;
-                        if cost >= *ub {
-                            continue; // monotone: no extension can recover
-                        }
-                        let nb = base_bottleneck.max(cost);
-
-                        // apply v
-                        let slot = dfs.ready.iter().position(|&r| r == v).expect("ready");
-                        dfs.ready.swap_remove(slot);
-                        dfs.seg.insert(v);
-                        let mut woken = Vec::new();
-                        for &s in dfs.dag.succs(v) {
-                            dfs.indeg_rem[s.index()] -= 1;
-                            if dfs.indeg_rem[s.index()] == 0 {
-                                dfs.ready.push(s);
-                                woken.push(s);
-                            }
-                        }
-
-                        let d2 = boundary.union(&dfs.seg);
-                        if d2 == *full {
-                            if nb < *ub {
-                                *ub = nb;
-                                // reconstruct: nodes beyond `boundary` are
-                                // stage k-1; walk parents for the rest.
-                                let mut stage_of = vec![0usize; dfs.dag.len()];
-                                for u in dfs.seg.iter() {
-                                    stage_of[u.index()] = k - 1;
-                                }
-                                let mut cur = boundary.clone();
-                                for j in (1..k).rev() {
-                                    let parent = parent_of[j].get(&cur).expect("chain").clone();
-                                    for u in cur.iter() {
-                                        if !parent.contains(u) {
-                                            stage_of[u.index()] = j - 1;
-                                        }
-                                    }
-                                    cur = parent;
-                                }
-                                *best =
-                                    Schedule::new(stage_of, num_stages).expect("stages in range");
-                            }
-                        } else if k < num_stages {
-                            // lower bound for the remainder
-                            let rest_params = total_params - covered_params - acc2.param_bytes;
-                            let rest_macs = total_macs - covered_macs - acc2.macs;
-                            let m = (num_stages - k) as u64;
-                            let spill = (rest_params / m).saturating_sub(dfs.model.cache_bytes);
-                            let lb_rest = dfs.model.sec_per_mac * (rest_macs / m) as f64
-                                + dfs.model.sec_per_byte * spill as f64;
-                            if nb.max(lb_rest) < *ub {
-                                let insert = match next.get(&d2) {
-                                    Some(e) => nb < e.bottleneck,
-                                    None => true,
-                                };
-                                if insert {
-                                    next.insert(
-                                        d2.clone(),
-                                        Entry {
-                                            bottleneck: nb,
-                                            covered_params: covered_params + acc2.param_bytes,
-                                            covered_macs: covered_macs + acc2.macs,
-                                        },
-                                    );
-                                    parent_of[k].insert(d2, boundary.clone());
-                                }
-                            }
-                        }
-
-                        extend(
-                            dfs,
-                            boundary,
-                            base_bottleneck,
-                            covered_params,
-                            covered_macs,
-                            acc2,
-                            dfs.pos[v.index()],
-                            k,
-                            num_stages,
-                            total_params,
-                            total_macs,
-                            full,
-                            ub,
-                            best,
-                            next,
-                            parent_of,
-                            states,
-                        );
-
-                        // undo v
-                        for &s in woken.iter().rev() {
-                            let wslot = dfs.ready.iter().position(|&r| r == s).expect("woken");
-                            dfs.ready.swap_remove(wslot);
-                        }
-                        for &s in dfs.dag.succs(v) {
-                            dfs.indeg_rem[s.index()] += 1;
-                        }
-                        dfs.seg.remove(v);
-                        dfs.ready.push(v);
-                    }
-                }
-
-                extend(
-                    &mut dfs,
-                    boundary,
-                    entry.bottleneck,
-                    entry.covered_params,
-                    entry.covered_macs,
-                    SegmentAccumulator::new(),
-                    usize::MAX,
+                search.expand(&Frame {
+                    layers: &layers,
                     k,
-                    num_stages,
-                    total_params,
-                    total_macs,
-                    &full,
-                    &mut ub,
-                    &mut best,
-                    &mut next,
-                    &mut parent_of,
-                    &mut states,
-                );
+                    index,
+                });
             }
-            frontier = next;
-            if frontier.is_empty() {
+            if search.next.is_empty() {
                 break;
             }
+            let mut frontier: Vec<(NodeSet, Entry)> = search.next.drain().collect();
+            // expand promising boundaries first so ub tightens early; ties
+            // go by set order, not by the map's per-process hash order
+            frontier.sort_by(|a, b| {
+                a.1.bottleneck
+                    .partial_cmp(&b.1.bottleneck)
+                    .expect("finite")
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            layers.push(frontier);
         }
 
-        debug_assert!(best.is_valid(dag));
+        debug_assert!(search.best.is_valid(dag));
         Ok(ExactSolution {
-            objective: self.model.objective(dag, &best),
-            schedule: best,
+            objective: self.model.objective(dag, &search.best),
+            schedule: search.best,
             proven_optimal: !timed_out,
-            states_explored: states,
+            states_explored: search.states,
         })
     }
+}
+
+/// A boundary reached by the search.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// Bottleneck of the cheapest stage chain found to the boundary.
+    bottleneck: f64,
+    covered_params: u64,
+    covered_macs: u64,
+    /// Index of the boundary it was reached from in the previous layer.
+    parent: usize,
+}
+
+/// The boundary being expanded: entry `index` of `layers[k - 1]`, which
+/// stage `k`'s segment grows from.
+struct Frame<'f> {
+    layers: &'f [Vec<(NodeSet, Entry)>],
+    k: usize,
+    index: usize,
+}
+
+/// One solve's search state. Per-node tables are indexed by topological
+/// position; `node` maps a position back to its id.
+struct Search<'a> {
+    model: &'a CostModel,
+    num_stages: usize,
+    total_params: u64,
+    total_macs: u64,
+    node: Vec<NodeId>,
+    params: Vec<u64>,
+    macs: Vec<u64>,
+    output: Vec<u64>,
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+    ub: f64,
+    best: Schedule,
+    states: u64,
+    /// Boundaries reached on the current stage.
+    next: HashMap<NodeSet, Entry>,
+    /// The boundary plus the segment grown so far, by node id.
+    ideal: NodeSet,
+    /// Bytes entering each node from the boundary.
+    cut_in: Vec<u64>,
+    /// Predecessors of each node outside `ideal`.
+    unplaced: Vec<u32>,
+    /// Positions outside `ideal` whose predecessors are all inside it.
+    ready: Vec<u64>,
+}
+
+impl<'a> Search<'a> {
+    fn new(dag: &Dag, model: &'a CostModel, num_stages: usize, best: Schedule, ub: f64) -> Self {
+        let node = order::default_order(dag);
+        let pos = order::positions(dag, &node);
+        let positions = |ids: &[NodeId]| ids.iter().map(|v| pos[v.index()]).collect();
+        Search {
+            model,
+            num_stages,
+            total_params: dag.total_param_bytes(),
+            total_macs: dag.total_macs(),
+            params: node.iter().map(|&v| dag.node(v).param_bytes).collect(),
+            macs: node.iter().map(|&v| dag.node(v).macs).collect(),
+            output: node.iter().map(|&v| dag.node(v).output_bytes).collect(),
+            preds: node.iter().map(|&v| positions(dag.preds(v))).collect(),
+            succs: node.iter().map(|&v| positions(dag.succs(v))).collect(),
+            node,
+            ub,
+            best,
+            states: 0,
+            next: HashMap::new(),
+            ideal: NodeSet::empty(dag.len()),
+            cut_in: vec![0; dag.len()],
+            unplaced: vec![0; dag.len()],
+            ready: vec![0; dag.len().div_ceil(64)],
+        }
+    }
+
+    /// Tabulates the boundary's residual, then grows stage `k`'s segment
+    /// over it, or on the last stage costs the whole residual.
+    fn expand(&mut self, at: &Frame<'_>) {
+        let (boundary, entry) = &at.layers[at.k - 1][at.index];
+        self.ideal.words.copy_from_slice(&boundary.words);
+        self.ready.fill(0);
+        let (mut residual, mut residual_cut_in) = (0, 0);
+        for p in 0..self.node.len() {
+            if boundary.contains(self.node[p]) {
+                continue;
+            }
+            let (mut cut_in, mut unplaced) = (0, 0);
+            for &q in &self.preds[p] {
+                if boundary.contains(self.node[q]) {
+                    cut_in += self.output[q];
+                } else {
+                    unplaced += 1;
+                }
+            }
+            self.cut_in[p] = cut_in;
+            self.unplaced[p] = unplaced;
+            if unplaced == 0 {
+                flip(&mut self.ready, p);
+            }
+            residual += 1;
+            residual_cut_in += cut_in;
+        }
+        if at.k < self.num_stages {
+            self.extend(at, SegmentAccumulator::new(), 0, residual);
+            return;
+        }
+        self.states += 1;
+        let cost = self.model.stage_cost(
+            self.total_params - entry.covered_params,
+            self.total_macs - entry.covered_macs,
+            residual_cut_in,
+        );
+        if cost < self.ub {
+            self.complete(at, entry.bottleneck.max(cost));
+        }
+    }
+
+    /// Grows `seg` by each ready position at or above `from`, then
+    /// recursively beyond it; `left` counts the residual nodes outside
+    /// the segment.
+    fn extend(&mut self, at: &Frame<'_>, seg: SegmentAccumulator, mut from: usize, left: usize) {
+        let base = at.layers[at.k - 1][at.index].1.bottleneck;
+        while let Some(p) = next_bit(&self.ready, from) {
+            from = p + 1;
+            let grown = SegmentAccumulator {
+                param_bytes: seg.param_bytes + self.params[p],
+                macs: seg.macs + self.macs[p],
+                cut_in_bytes: seg.cut_in_bytes + self.cut_in[p],
+            };
+            let cost = grown.cost(self.model);
+            self.states += 1;
+            if cost >= self.ub {
+                continue; // monotone: no extension can recover
+            }
+            let bottleneck = base.max(cost);
+            self.place(p);
+            if left == 1 {
+                if bottleneck < self.ub {
+                    self.complete(at, bottleneck);
+                }
+            } else {
+                self.offer(at, grown, bottleneck);
+                self.extend(at, grown, p + 1, left - 1);
+            }
+            self.unplace(p);
+        }
+    }
+
+    /// Records `ideal` as a boundary after stage `k`, unless the
+    /// even-split bound on the rest or a cheaper path to it rules it out.
+    fn offer(&mut self, at: &Frame<'_>, segment: SegmentAccumulator, bottleneck: f64) {
+        let entry = &at.layers[at.k - 1][at.index].1;
+        let covered_params = entry.covered_params + segment.param_bytes;
+        let covered_macs = entry.covered_macs + segment.macs;
+        let m = (self.num_stages - at.k) as u64;
+        let spill =
+            ((self.total_params - covered_params) / m).saturating_sub(self.model.cache_bytes);
+        let lb_rest = self.model.sec_per_mac * ((self.total_macs - covered_macs) / m) as f64
+            + self.model.sec_per_byte * spill as f64;
+        if bottleneck.max(lb_rest) < self.ub {
+            let reached = Entry {
+                bottleneck,
+                covered_params,
+                covered_macs,
+                parent: at.index,
+            };
+            match self.next.get_mut(&self.ideal) {
+                Some(e) if bottleneck < e.bottleneck => *e = reached,
+                Some(_) => {}
+                None => {
+                    self.next.insert(self.ideal.clone(), reached);
+                }
+            }
+        }
+    }
+
+    /// Adopts as incumbent the schedule whose stage `k - 1` is the
+    /// boundary's whole residual, reading earlier stages along parents.
+    fn complete(&mut self, at: &Frame<'_>, objective: f64) {
+        self.ub = objective;
+        let mut stage_of = vec![at.k - 1; self.node.len()];
+        let mut index = at.index;
+        for j in (1..at.k).rev() {
+            let (boundary, entry) = &at.layers[j][index];
+            for v in boundary.iter() {
+                stage_of[v.index()] = j - 1;
+            }
+            index = entry.parent;
+        }
+        self.best = Schedule::new(stage_of, self.num_stages).expect("stages in range");
+    }
+
+    /// Adds ready position `p` to the segment.
+    fn place(&mut self, p: usize) {
+        flip(&mut self.ready, p);
+        self.ideal.insert(self.node[p]);
+        for &s in &self.succs[p] {
+            self.unplaced[s] -= 1;
+            if self.unplaced[s] == 0 {
+                flip(&mut self.ready, s);
+            }
+        }
+    }
+
+    /// Undoes [`Self::place`].
+    fn unplace(&mut self, p: usize) {
+        for &s in &self.succs[p] {
+            if self.unplaced[s] == 0 {
+                flip(&mut self.ready, s);
+            }
+            self.unplaced[s] += 1;
+        }
+        self.ideal.remove(self.node[p]);
+        flip(&mut self.ready, p);
+    }
+}
+
+/// Toggles bit `i`.
+#[inline]
+fn flip(words: &mut [u64], i: usize) {
+    words[i / 64] ^= 1 << (i % 64);
+}
+
+/// The lowest set bit at or above `from`.
+#[inline]
+fn next_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut i = from / 64;
+    let mut w = *words.get(i)? & (!0 << (from % 64));
+    while w == 0 {
+        i += 1;
+        w = *words.get(i)?;
+    }
+    Some(i * 64 + w.trailing_zeros() as usize)
 }
 
 impl Scheduler for ExactScheduler {
@@ -519,18 +519,32 @@ mod tests {
     #[test]
     fn nodeset_basic_operations() {
         let mut s = NodeSet::empty(130);
-        assert_eq!(s.count(), 0);
+        assert_eq!(s.iter().count(), 0);
         s.insert(NodeId(0));
         s.insert(NodeId(64));
         s.insert(NodeId(129));
         assert!(s.contains(NodeId(64)));
         assert!(!s.contains(NodeId(63)));
-        assert_eq!(s.count(), 3);
+        assert_eq!(s.iter().count(), 3);
         let ids: Vec<_> = s.iter().collect();
         assert_eq!(ids, vec![NodeId(0), NodeId(64), NodeId(129)]);
         s.remove(NodeId(64));
-        assert_eq!(s.count(), 2);
-        assert_eq!(NodeSet::full(130).count(), 130);
+        assert_eq!(s.iter().count(), 2);
+    }
+
+    #[test]
+    fn ready_bits_scan_across_words() {
+        let mut ready = vec![0u64; 3];
+        for i in [5, 64, 130] {
+            flip(&mut ready, i);
+        }
+        assert_eq!(next_bit(&ready, 0), Some(5));
+        assert_eq!(next_bit(&ready, 6), Some(64));
+        assert_eq!(next_bit(&ready, 65), Some(130));
+        assert_eq!(next_bit(&ready, 131), None);
+        assert_eq!(next_bit(&ready, 192), None);
+        flip(&mut ready, 64);
+        assert_eq!(next_bit(&ready, 6), Some(130));
     }
 
     #[test]

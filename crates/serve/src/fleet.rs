@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use crate::chain::{ChainEngine, ChainEvent, Event, TenantRecords};
 use crate::hist::LatencyHistogram;
 use crate::runtime::{
-    tenant_report, validate_tenants, ServeError, ServeTenant, SwapRecord, TenantServeReport,
+    limit, tenant_report, validate_tenants, ServeError, ServeTenant, SwapRecord, TenantServeReport,
 };
 
 /// How the fleet places each arriving request on an active chain. All
@@ -745,6 +745,8 @@ fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
     if cfg.chains.is_empty() {
         return Err(ServeError::NoChains);
     }
+    // chain indices are `u16` and must stay below the shed sentinel
+    limit("chains", cfg.chains.len(), usize::from(UNROUTED))?;
     if let Some(pol) = &cfg.autoscale {
         if pol.min_chains == 0 {
             return Err(ServeError::InvalidAutoscale {
@@ -783,8 +785,9 @@ fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
 /// # Errors
 ///
 /// Returns a [`ServeError`] if any tenant is degenerate (the same
-/// checks as [`crate::runtime::serve`]), the fleet has no chains, or
-/// the autoscale policy is degenerate. Nothing is simulated on error.
+/// checks as [`crate::runtime::serve`]), the fleet has no chains or
+/// more than `u16::MAX`, or the autoscale policy is degenerate. Nothing
+/// is simulated on error.
 ///
 /// # Example
 ///

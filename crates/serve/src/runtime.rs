@@ -98,6 +98,16 @@ pub enum ServeError {
         /// What was wrong.
         detail: &'static str,
     },
+    /// A count exceeds what the engine's packed event fields can index.
+    TooLarge {
+        /// What was counted: `"tenants"`, `"requests"`, `"stages"` or
+        /// `"chains"`.
+        what: &'static str,
+        /// The offending count.
+        count: usize,
+        /// The largest count the engine accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -124,6 +134,9 @@ impl fmt::Display for ServeError {
             ServeError::InvalidRepartitioner { detail } => write!(f, "repartitioner: {detail}"),
             ServeError::NoChains => write!(f, "a fleet needs at least one chain"),
             ServeError::InvalidAutoscale { detail } => write!(f, "autoscale policy: {detail}"),
+            ServeError::TooLarge { what, count, max } => {
+                write!(f, "{count} {what} exceed the engine's limit of {max}")
+            }
         }
     }
 }
@@ -741,6 +754,7 @@ pub(crate) fn validate_tenants(tenants: &[ServeTenant]) -> Result<(), ServeError
     if tenants.is_empty() {
         return Err(ServeError::NoTenants);
     }
+    limit("tenants", tenants.len(), u32::MAX as usize)?;
     for t in tenants {
         if t.requests == 0 {
             return Err(ServeError::NoRequests);
@@ -758,6 +772,8 @@ pub(crate) fn validate_tenants(tenants: &[ServeTenant]) -> Result<(), ServeError
             });
         }
         t.arrivals.validate().map_err(ServeError::Arrivals)?;
+        limit("requests", t.requests, u32::MAX as usize)?;
+        limit("stages", t.pipeline.segments.len(), usize::from(u16::MAX))?;
         let b = t.batcher;
         if b.max_batch == 0 || !(b.max_delay_s >= 0.0 && b.max_delay_s.is_finite()) {
             return Err(ServeError::InvalidBatcher {
@@ -806,6 +822,14 @@ pub(crate) fn validate_tenants(tenants: &[ServeTenant]) -> Result<(), ServeError
     Ok(())
 }
 
+/// [`ServeError::TooLarge`] when `count` exceeds `max`.
+pub(crate) fn limit(what: &'static str, count: usize, max: usize) -> Result<(), ServeError> {
+    if count > max {
+        return Err(ServeError::TooLarge { what, count, max });
+    }
+    Ok(())
+}
+
 /// Runs the serving runtime for `tenants` co-resident on one device
 /// chain under `cfg`.
 ///
@@ -813,8 +837,10 @@ pub(crate) fn validate_tenants(tenants: &[ServeTenant]) -> Result<(), ServeError
 ///
 /// Returns a [`ServeError`] if any tenant is degenerate (zero requests,
 /// zero batch, empty pipeline, bad arrival/batch/admission parameters,
-/// a repartitioner whose dag does not match the deployed schedule) or
-/// if no tenants are supplied. Nothing is simulated on error.
+/// a repartitioner whose dag does not match the deployed schedule), if
+/// no tenants are supplied, or if the tenant, per-tenant request or
+/// stage count exceeds the packed event fields (`u32`, `u32`, `u16`).
+/// Nothing is simulated on error.
 pub fn serve(
     tenants: &[ServeTenant],
     spec: &DeviceSpec,

@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_sched::Schedule;
 use respect_serve::{
-    serve, serve_fleet, AdmissionPolicy, AutoscalePolicy, BatchPolicy, FleetConfig, RouterPolicy,
-    ServeConfig, ServeError, ServeTenant,
+    serve, serve_fleet, serve_fleet_probed, AdmissionPolicy, AutoscalePolicy, BatchPolicy,
+    FleetConfig, RouterPolicy, ServeConfig, ServeError, ServeTenant,
 };
 use respect_tpu::sim::{self, Arrivals};
 use respect_tpu::{CompiledPipeline, DeviceSpec, Segment};
@@ -377,6 +377,16 @@ fn fleet_validation_rejects_degenerate_configurations() {
         serve_fleet(std::slice::from_ref(&tenant), &no_chains),
         Err(ServeError::NoChains)
     ));
+    // a chain index of u16::MAX would collide with the shed marker
+    let wide = FleetConfig::homogeneous(1 << 16, spec);
+    assert_eq!(
+        serve_fleet(std::slice::from_ref(&tenant), &wide),
+        Err(ServeError::TooLarge {
+            what: "chains",
+            count: 1 << 16,
+            max: usize::from(u16::MAX),
+        })
+    );
     for bad in [
         AutoscalePolicy::new().with_min_chains(0),
         AutoscalePolicy::new().with_min_chains(5),
@@ -392,4 +402,21 @@ fn fleet_validation_rejects_degenerate_configurations() {
             Err(ServeError::InvalidAutoscale { .. })
         ));
     }
+}
+
+#[test]
+fn fleet_rejects_request_counts_beyond_the_packed_event_fields() {
+    let requests = u32::MAX as usize + 1;
+    let huge = [ServeTenant::new(random_pipeline(2, 1), requests)];
+    let cfg = FleetConfig::homogeneous(2, DeviceSpec::coral());
+    let too_many = Err(ServeError::TooLarge {
+        what: "requests",
+        count: requests,
+        max: u32::MAX as usize,
+    });
+    assert_eq!(serve_fleet(&huge, &cfg), too_many);
+    assert_eq!(
+        serve_fleet_probed(&huge, &cfg, &mut respect_tpu::NullProbe),
+        too_many
+    );
 }

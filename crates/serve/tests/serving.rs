@@ -12,8 +12,8 @@ use respect_graph::models;
 use respect_sched::balanced::OpBalanced;
 use respect_sched::Scheduler;
 use respect_serve::{
-    serve, AdmissionPolicy, BatchPolicy, DriftPolicy, LatencyHistogram, Repartitioner, ServeConfig,
-    ServeError, ServeTenant,
+    serve, serve_probed, AdmissionPolicy, BatchPolicy, DriftPolicy, LatencyHistogram,
+    Repartitioner, ServeConfig, ServeError, ServeTenant,
 };
 use respect_tpu::sim::{self, Arrivals, SimConfig, Workload};
 use respect_tpu::{compile, CompiledPipeline, DeviceSpec};
@@ -301,6 +301,37 @@ fn multi_tenant_serving_with_mixed_policies_is_deterministic() {
         assert_eq!(t.admitted + t.shed, t.offered);
         assert_eq!(t.completions.len(), t.admitted);
     }
+}
+
+#[test]
+fn counts_beyond_the_packed_event_fields_are_rejected() {
+    let (pipeline, spec, _) = single_stage_pipeline();
+    let cfg = ServeConfig::uncontended();
+    let requests = u32::MAX as usize + 1;
+    let huge = [ServeTenant::new(pipeline, requests)];
+    let too_many = Err(ServeError::TooLarge {
+        what: "requests",
+        count: requests,
+        max: u32::MAX as usize,
+    });
+    assert_eq!(serve(&huge, &spec, &cfg), too_many);
+    assert_eq!(
+        serve_probed(&huge, &spec, &cfg, &mut respect_tpu::NullProbe),
+        too_many
+    );
+    let stage = huge[0].pipeline.segments[0].clone();
+    let deep = CompiledPipeline {
+        segments: vec![stage; 1 << 16],
+        schedule: huge[0].pipeline.schedule.clone(),
+    };
+    assert_eq!(
+        serve(&[ServeTenant::new(deep, 5)], &spec, &cfg),
+        Err(ServeError::TooLarge {
+            what: "stages",
+            count: 1 << 16,
+            max: usize::from(u16::MAX),
+        })
+    );
 }
 
 #[test]

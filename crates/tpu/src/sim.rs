@@ -101,6 +101,15 @@ pub enum SimError {
         /// Requests in the workload.
         requests: usize,
     },
+    /// A count exceeds what the engine's packed event fields can index.
+    TooLarge {
+        /// What was counted: `"tenants"`, `"requests"` or `"stages"`.
+        what: &'static str,
+        /// The offending count.
+        count: usize,
+        /// The largest count the engine accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -135,6 +144,9 @@ impl fmt::Display for SimError {
                 f,
                 "warm-up of {warmup} requests leaves nothing to measure out of {requests}"
             ),
+            SimError::TooLarge { what, count, max } => {
+                write!(f, "{count} {what} exceed the engine's limit of {max}")
+            }
         }
     }
 }
@@ -815,18 +827,6 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
             .map(WorkloadView::stages)
             .max()
             .unwrap_or(0);
-        assert!(
-            workloads.len() <= u32::MAX as usize,
-            "tenant count must fit the packed event index"
-        );
-        assert!(
-            chain <= usize::from(u16::MAX),
-            "stage count must fit the packed event index"
-        );
-        assert!(
-            workloads.iter().all(|wl| wl.requests <= u32::MAX as usize),
-            "request count must fit the packed event index"
-        );
         let mut timings = vec![StageTiming::default(); workloads.len() * chain];
         for (w, wl) in workloads.iter().enumerate() {
             for (k, seg) in wl.pipeline.segments.iter().enumerate() {
@@ -1289,8 +1289,9 @@ impl<Q, P> EngineInspect for Engine<'_, Q, P> {
 ///
 /// Returns a [`SimError`] if any workload is degenerate (zero requests,
 /// zero batch, empty pipeline, bad rate, warm-up swallowing the whole
-/// stream) or if no workloads are supplied. Nothing is simulated on
-/// error.
+/// stream), if no workloads are supplied, or if the tenant, per-tenant
+/// request or stage count exceeds the packed event fields (`u32`, `u32`,
+/// `u16`). Nothing is simulated on error.
 pub fn run(
     workloads: &[Workload],
     spec: &DeviceSpec,
@@ -1349,6 +1350,7 @@ fn run_views<P: Probe>(
     if workloads.is_empty() {
         return Err(SimError::NoWorkloads);
     }
+    limit("tenants", workloads.len(), u32::MAX as usize)?;
     for wl in workloads {
         if wl.requests == 0 {
             return Err(SimError::NoRequests);
@@ -1366,6 +1368,8 @@ fn run_views<P: Probe>(
             });
         }
         wl.arrivals.validate()?;
+        limit("requests", wl.requests, u32::MAX as usize)?;
+        limit("stages", wl.stages(), usize::from(u16::MAX))?;
     }
     Ok(match cfg.queue {
         QueueKind::BinaryHeap => {
@@ -1375,6 +1379,14 @@ fn run_views<P: Probe>(
             Engine::<CalendarQueue<EventKind>, P>::new(workloads, spec, *cfg, probe).run()
         }
     })
+}
+
+/// [`SimError::TooLarge`] when `count` exceeds `max`.
+fn limit(what: &'static str, count: usize, max: usize) -> Result<(), SimError> {
+    if count > max {
+        return Err(SimError::TooLarge { what, count, max });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1420,6 +1432,37 @@ mod tests {
         assert_eq!(
             run(&[bad_rate], &spec, &cfg),
             Err(SimError::InvalidRate { rate: 0.0 })
+        );
+    }
+
+    #[test]
+    fn rejects_counts_beyond_the_packed_event_fields() {
+        let (p, spec) = pipeline(2);
+        let cfg = SimConfig::uncontended();
+        let requests = u32::MAX as usize + 1;
+        let too_many = Err(SimError::TooLarge {
+            what: "requests",
+            count: requests,
+            max: u32::MAX as usize,
+        });
+        let huge = Workload::closed_loop(p.clone(), requests);
+        assert_eq!(run(std::slice::from_ref(&huge), &spec, &cfg), too_many);
+        assert_eq!(run_probed(&[huge], &spec, &cfg, &mut NullProbe), too_many);
+        let stage = Segment {
+            nodes: Vec::new(),
+            ..p.segments[0].clone()
+        };
+        let deep = CompiledPipeline {
+            segments: vec![stage; 1 << 16],
+            schedule: p.schedule,
+        };
+        assert_eq!(
+            run(&[Workload::closed_loop(deep, 5)], &spec, &cfg),
+            Err(SimError::TooLarge {
+                what: "stages",
+                count: 1 << 16,
+                max: usize::from(u16::MAX),
+            })
         );
     }
 
