@@ -1,10 +1,12 @@
 //! Throughput benchmarks of the two hottest loops in the codebase:
 //!
-//! * **training rollouts** — serial per-graph decoding (one tape op per
-//!   LSTM/attention step per graph) vs. the batched engine
-//!   (`rollout_batch` / `decode_batch`: one op per step for the whole
-//!   minibatch). Reported per full batch; divide the batch size by the
-//!   time per iteration for graphs/sec.
+//! * **training rollouts** — serial per-graph decoding (32 one-graph
+//!   `rollout_batch` / `decode_batch` calls, one tape op per LSTM/attention
+//!   step per graph) vs. one batched call (one op per step for the whole
+//!   minibatch), forward only at h = 64. Reported per full batch; divide
+//!   the batch size by the time per iteration for graphs/sec. One more row
+//!   times a whole training step's tape work, `rollout_batch` plus
+//!   `backward`, on 16 graphs at h = 32 (the `perfbench` `train` shape).
 //! * **local-search cost evaluation** — full `stage_costs` re-aggregation
 //!   per proposed move vs. the `IncrementalEvaluator`'s
 //!   `O(deg(v) + k)` update, over an identical scripted move sequence.
@@ -20,10 +22,11 @@ use respect_sched::anneal::Annealing;
 use respect_sched::{CostModel, IncrementalEvaluator, Schedule, Scheduler};
 
 const BATCH: usize = 32;
+const TRAIN_BATCH: usize = 16;
 const MOVES: usize = 512;
 
-fn training_batch(policy: &PtrNetPolicy) -> Vec<(Dag, Matrix)> {
-    (0..BATCH)
+fn training_batch(policy: &PtrNetPolicy, count: usize) -> Vec<(Dag, Matrix)> {
+    (0..count)
         .map(|i| {
             let dag = SyntheticSampler::new(SyntheticConfig::paper(2 + i % 5), i as u64).sample();
             let feats = embed(&dag, &policy.config().embedding);
@@ -34,7 +37,7 @@ fn training_batch(policy: &PtrNetPolicy) -> Vec<(Dag, Matrix)> {
 
 fn bench_rollout(c: &mut Criterion) {
     let policy = PtrNetPolicy::new(PolicyConfig::small(64));
-    let batch = training_batch(&policy);
+    let batch = training_batch(&policy, BATCH);
     let refs: Vec<(&Dag, &Matrix)> = batch.iter().map(|(d, f)| (d, f)).collect();
 
     let mut group = c.benchmark_group("rollout");
@@ -57,6 +60,28 @@ fn bench_rollout(c: &mut Criterion) {
                 .map(|g| DecodeMode::sample_seeded(g as u64))
                 .collect();
             black_box(policy.rollout_batch(&mut tape, &bindings, &refs, &mut modes));
+        })
+    });
+    let train_policy = PtrNetPolicy::new(PolicyConfig::small(32));
+    let train_batch = training_batch(&train_policy, TRAIN_BATCH);
+    let train_refs: Vec<(&Dag, &Matrix)> = train_batch.iter().map(|(d, f)| (d, f)).collect();
+    group.bench_function(format!("batched+backward/{TRAIN_BATCH}x30/h32"), |b| {
+        b.iter(|| {
+            let mut tape = Tape::new();
+            let bindings = train_policy.bind(&mut tape);
+            let mut modes: Vec<DecodeMode> = (0..TRAIN_BATCH)
+                .map(|g| DecodeMode::sample_seeded(g as u64))
+                .collect();
+            let rollout = train_policy.rollout_batch(&mut tape, &bindings, &train_refs, &mut modes);
+            // the trainer's loss shape: advantage-weighted log-probabilities
+            let weights = (0..TRAIN_BATCH)
+                .map(|g| (-1.0f32).powi(g as i32) / TRAIN_BATCH as f32)
+                .collect();
+            let w = tape.leaf(Matrix::from_vec(1, TRAIN_BATCH, weights));
+            let weighted = tape.mul_elem(rollout.log_probs, w);
+            let loss = tape.sum(weighted);
+            tape.backward(loss);
+            black_box(bindings.grads(&tape))
         })
     });
     group.finish();

@@ -73,8 +73,16 @@ impl TeacherDataset {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors (zero stages).
+    /// Returns [`ScheduleError::InvalidConfig`] before labelling anything
+    /// when `config.degrees` is empty or holds a degree of 0, and
+    /// propagates solver errors (zero stages).
     pub fn generate(config: &DatasetConfig, model: &CostModel) -> Result<Self, ScheduleError> {
+        if config.degrees.is_empty() || config.degrees.contains(&0) {
+            return Err(ScheduleError::InvalidConfig(format!(
+                "dataset degree classes must be nonempty and at least 1, got {:?}",
+                config.degrees
+            )));
+        }
         let solver = ExactScheduler::new(*model).with_warmstart_moves(200);
         let mut samplers: Vec<SyntheticSampler> = config
             .degrees

@@ -18,10 +18,13 @@
 //!   in the paper.
 //!
 //! Two execution paths share the same weights: a tape-based
-//! [`PtrNetPolicy::rollout`] for REINFORCE training, which attends densely
-//! over every node, and a gradient-free [`PtrNetPolicy::decode`] used at
-//! deployment (this is what Fig. 3 times as RESPECT's solving time), which
-//! scores only the unmasked candidates of each step.
+//! [`PtrNetPolicy::rollout_batch`] for REINFORCE training and a
+//! gradient-free [`PtrNetPolicy::decode_batch`] used at deployment (this is
+//! what Fig. 3 times as RESPECT's solving time). Both score glimpse and
+//! pointer attention only over the unmasked candidates of each step, in
+//! ascending id order: a masked node has exactly zero probability and zero
+//! gradient, so results equal those of a dense kernel that scores every
+//! node and masks afterwards, bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,7 +175,8 @@ impl PtrNetPolicy {
     }
 
     /// Differentiable rollout on `tape` using parameters bound by
-    /// [`bind`](PtrNetPolicy::bind).
+    /// [`bind`](PtrNetPolicy::bind):
+    /// [`rollout_batch`](PtrNetPolicy::rollout_batch) over one graph.
     ///
     /// # Panics
     ///
@@ -185,65 +189,32 @@ impl PtrNetPolicy {
         features: &Matrix,
         mode: &mut DecodeMode,
     ) -> Rollout {
-        let n = dag.len();
-        assert_eq!(
-            features.shape(),
-            (self.config.embedding.feature_dim(), n),
-            "feature matrix shape"
+        let mut batch = self.rollout_batch(
+            tape,
+            bindings,
+            &[(dag, features)],
+            std::slice::from_mut(mode),
         );
-        let enc = LstmSpec::new("enc", self.config.hidden, self.config.hidden).bind(bindings);
-        let dec = LstmSpec::new("dec", self.config.hidden, self.config.hidden).bind(bindings);
-        let glimpse = AttentionSpec::new("glimpse", self.config.hidden).bind(bindings);
-        let pointer = AttentionSpec::new("pointer", self.config.hidden).bind(bindings);
-        let proj_w = bindings.var("proj.w");
-
-        // project embeddings and encode
-        let feats = tape.leaf(features.clone());
-        let projected = tape.matmul(proj_w, feats); // [h, n]
-        let xs: Vec<Var> = (0..n).map(|i| tape.slice_col(projected, i)).collect();
-        let s0 = enc.zero_state(tape);
-        let (hs, enc_last) = enc.run(tape, &xs, s0);
-        let context = tape.concat_cols(&hs); // [h, n]
-        let proj_g = glimpse.project_context(tape, context);
-        let proj_p = pointer.project_context(tape, context);
-
-        // decode with pointing
-        let mut mask = self.mask_init(dag);
-        let mut state = enc_last;
-        let mut d = bindings.var("dec0");
-        let mut sequence = Vec::with_capacity(n);
-        let mut log_prob_total: Option<Var> = None;
-        for _ in 0..n {
-            state = dec.step(tape, d, state);
-            let g = glimpse.glimpse(tape, context, proj_g, state.h, mask.as_slice());
-            let scores = pointer.scores(tape, proj_p, g);
-            let logp = tape.log_softmax_masked(scores, mask.as_slice());
-            let (cands, lv) = (mask.candidates(), tape.value(logp));
-            let logits = cands.iter().map(|&i| lv.get(i, 0)).collect();
-            let idx = choose(mode, cands, logits, exp_in_place);
-            let lp = tape.pick(logp, idx);
-            log_prob_total = Some(match log_prob_total {
-                None => lp,
-                Some(acc) => tape.add(acc, lp),
-            });
-            let v = NodeId(idx as u32);
-            sequence.push(v);
-            mask.emit(dag, v);
-            d = xs[idx];
-        }
         Rollout {
-            sequence,
-            log_prob: log_prob_total.expect("graphs are nonempty"),
+            sequence: batch.sequences.pop().expect("one sequence per graph"),
+            log_prob: batch.log_probs,
         }
     }
 
     /// Differentiable **batched** rollout: decodes `B` equal-sized graphs
     /// in lock step, one tape op per decoding step for the whole batch
-    /// instead of one per graph. Each graph consumes its own
-    /// [`DecodeMode`] (`modes[g]`), so per-graph results — sequences and
-    /// log-probabilities alike — are identical to `B` serial
-    /// [`rollout`](PtrNetPolicy::rollout) calls with the same modes (the
-    /// determinism tests pin this).
+    /// instead of one per graph. At each step, lane `g` owns columns
+    /// `g*w..(g+1)*w` of one gathered block: its unmasked candidates in
+    /// ascending id order, padded with masked copies of its first one up
+    /// to the largest candidate count `w` of the step. Glimpse, pointer,
+    /// log-softmax and pick run over those `w` columns instead of all `n`
+    /// nodes. Masked and padded columns get exactly zero probability and
+    /// zero gradient and every sum starts at `0.0`, so sequences,
+    /// log-probabilities and gradients equal those of a dense kernel that
+    /// scores every node and masks afterwards, bit for bit. Each graph
+    /// consumes its own [`DecodeMode`] (`modes[g]`), and per-graph results
+    /// equal `B` one-graph [`rollout`](PtrNetPolicy::rollout) calls with
+    /// the same modes.
     ///
     /// # Panics
     ///
@@ -298,47 +269,60 @@ impl PtrNetPolicy {
         }
         let enc_last = state;
         // hs concatenated is time-major ([h, n*B], column t*B + g); regroup
-        // graph-major so attention sees per-graph context blocks
+        // graph-major so each node's columns can be gathered per step
         let time_major = tape.concat_cols(&hs);
         let perm: Vec<usize> = (0..b * n).map(|c| (c % n) * b + c / n).collect();
         let context = tape.gather_cols(time_major, &perm); // [h, B*n]
         let proj_g = glimpse.project_context(tape, context);
         let proj_p = pointer.project_context(tape, context);
 
-        // decode with pointing, one batched step per output position
+        // decode with pointing, one batched step per output position;
+        // attention runs over the gathered candidate block only
         let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
         let dec0 = bindings.var("dec0");
         let mut d = tape.concat_cols(&vec![dec0; b]); // [h, B]
         let mut state = enc_last;
         let mut sequences = vec![Vec::with_capacity(n); b];
         let mut log_prob_total: Option<Var> = None;
-        let mut flat_masks = vec![false; b * n];
         for _ in 0..n {
             state = dec.step_batch(tape, d, state);
+            let w = masks
+                .iter()
+                .map(|m| m.candidates().len())
+                .max()
+                .expect("nonempty batch");
+            let mut cols = Vec::with_capacity(b * w);
+            let mut padding = Vec::with_capacity(b * w);
             for (g, mask) in masks.iter().enumerate() {
-                flat_masks[g * n..(g + 1) * n].copy_from_slice(mask.as_slice());
+                let cands = mask.candidates();
+                cols.extend(cands.iter().map(|&i| g * n + i));
+                cols.resize((g + 1) * w, g * n + cands[0]);
+                padding.extend((0..w).map(|j| j >= cands.len()));
             }
-            let g = glimpse.glimpse_batch(tape, context, proj_g, state.h, n, &flat_masks);
-            let scores = pointer.scores_batch(tape, proj_p, g, n);
-            let logp = tape.log_softmax_masked_cols(scores, &flat_masks);
-            let mut choices = Vec::with_capacity(b);
-            for (g, (mode, mask)) in modes.iter_mut().zip(&masks).enumerate() {
-                let (cands, lv) = (mask.candidates(), tape.value(logp));
-                let logits = cands.iter().map(|&i| lv.get(i, g)).collect();
-                choices.push(choose(mode, cands, logits, exp_in_place));
+            let block = tape.gather_cols(context, &cols); // [h, B*w]
+            let block_g = tape.gather_cols(proj_g, &cols);
+            let block_p = tape.gather_cols(proj_p, &cols);
+            let g = glimpse.glimpse_batch(tape, block, block_g, state.h, w, &padding);
+            let scores = pointer.scores_batch(tape, block_p, g, w);
+            let logp = tape.log_softmax_masked_cols(scores, &padding); // [w, B]
+            let lv = tape.value(logp);
+            let mut picks = Vec::with_capacity(b);
+            let mut next_cols = Vec::with_capacity(b);
+            for (g, (mode, mask)) in modes.iter_mut().zip(&mut masks).enumerate() {
+                let cands = mask.candidates();
+                let logits = (0..cands.len()).map(|j| lv.get(j, g)).collect();
+                let j = choose(mode, logits, exp_in_place);
+                let v = NodeId(cands[j] as u32);
+                picks.push(j);
+                next_cols.push(g * n + v.index());
+                sequences[g].push(v);
+                mask.emit(items[g].0, v);
             }
-            let lp = tape.pick_cols(logp, &choices); // [1, B]
+            let lp = tape.pick_cols(logp, &picks); // [1, B]
             log_prob_total = Some(match log_prob_total {
                 None => lp,
                 Some(acc) => tape.add(acc, lp),
             });
-            let mut next_cols = Vec::with_capacity(b);
-            for (g, &idx) in choices.iter().enumerate() {
-                let v = NodeId(idx as u32);
-                sequences[g].push(v);
-                masks[g].emit(items[g].0, v);
-                next_cols.push(g * n + idx);
-            }
             d = tape.gather_cols(projected, &next_cols);
         }
         BatchRollout {
@@ -459,7 +443,7 @@ impl PtrNetPolicy {
             for (g, mode) in modes.iter_mut().enumerate() {
                 let cands = masks[g].candidates();
                 let u = pointer.scores(g * n, cands, &pq[g * h..(g + 1) * h]);
-                let v = NodeId(choose(mode, cands, u, softmax) as u32);
+                let v = NodeId(cands[choose(mode, u, softmax)] as u32);
                 sequences[g].push(v);
                 masks[g].emit(items[g].0, v);
                 next_cols.push(g * n + v.index());
@@ -470,33 +454,28 @@ impl PtrNetPolicy {
     }
 }
 
-/// Visited/ready bookkeeping shared by every decode path:
-/// `masked[i] = visited[i] || (dependency && pending_parents[i] > 0)`, and
-/// `candidates` lists the unmasked ids in ascending order (the ready set
-/// under dependency masking, the unvisited set without it).
+/// Visited/ready bookkeeping shared by every decode path: `candidates`
+/// lists the selectable ids in ascending order, the ready set under
+/// dependency masking (unvisited nodes whose parents were all emitted) and
+/// the unvisited set without it. Every other node is masked.
 #[derive(Debug)]
 struct MaskState {
     pending_parents: Vec<usize>,
     dependency: bool,
-    masked: Vec<bool>,
     candidates: Vec<usize>,
 }
 
 impl MaskState {
     fn new(dag: &Dag, dependency: bool) -> Self {
         let pending: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
-        let masked: Vec<bool> = pending.iter().map(|&d| dependency && d > 0).collect();
-        let candidates = (0..dag.len()).filter(|&i| !masked[i]).collect();
+        let candidates = (0..dag.len())
+            .filter(|&i| !dependency || pending[i] == 0)
+            .collect();
         MaskState {
             pending_parents: pending,
             dependency,
-            masked,
             candidates,
         }
-    }
-
-    fn as_slice(&self) -> &[bool] {
-        &self.masked
     }
 
     fn candidates(&self) -> &[usize] {
@@ -509,12 +488,10 @@ impl MaskState {
         let i = v.index();
         let slot = self.candidates.binary_search(&i).expect("a candidate");
         self.candidates.remove(slot);
-        self.masked[i] = true;
         if self.dependency {
             for &s in dag.succs(v) {
                 self.pending_parents[s.index()] -= 1;
                 if self.pending_parents[s.index()] == 0 {
-                    self.masked[s.index()] = false;
                     let slot = self.candidates.binary_search(&s.index()).expect_err("new");
                     self.candidates.insert(slot, s.index());
                 }
@@ -644,16 +621,12 @@ fn exp_in_place(xs: &mut [f32]) {
     xs.iter_mut().for_each(|x| *x = x.exp());
 }
 
-/// Picks one of `cands` (ascending ids, `logits[j]` scoring `cands[j]`):
-/// the first highest logit when greedy, else a draw in proportion to
-/// `to_probs(logits)`. In id order this is a dense masked scan's choice.
-fn choose(
-    mode: &mut DecodeMode,
-    cands: &[usize],
-    mut logits: Vec<f32>,
-    to_probs: fn(&mut [f32]),
-) -> usize {
-    let j = match mode {
+/// Picks a position `j` of `logits`, which score candidates in ascending
+/// id order: the first highest logit when greedy, else a draw in
+/// proportion to `to_probs(logits)`. In id order this is a dense masked
+/// scan's choice.
+fn choose(mode: &mut DecodeMode, mut logits: Vec<f32>, to_probs: fn(&mut [f32])) -> usize {
+    match mode {
         DecodeMode::Greedy => {
             (1..logits.len()).fold(0, |best, j| if logits[j] > logits[best] { j } else { best })
         }
@@ -669,8 +642,7 @@ fn choose(
                 })
                 .unwrap_or(logits.len() - 1)
         }
-    };
-    cands[j]
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!
 //! Rollouts are **batched**: every gradient step decodes its whole
 //! minibatch through [`PtrNetPolicy::rollout_batch`] (one tape op per
-//! decoding step for the batch instead of one per graph), and
+//! decoding step for the batch instead of one per graph, with glimpse and
+//! pointer attention over each graph's unmasked candidates only, so the
+//! masked nodes cost neither forward nor backward work), and
 //! [`TrainConfig::num_threads`] optionally shards the batch across scoped
 //! worker threads. Per-graph sampling streams are independent, so sampled
 //! sequences do not depend on the thread count; results are bitwise
@@ -137,12 +139,16 @@ impl TrainConfig {
 pub enum TrainError {
     /// Teacher generation failed.
     Dataset(ScheduleError),
+    /// [`TrainConfig::batch_size`] is 0, so no gradient step could take
+    /// a graph.
+    ZeroBatchSize,
 }
 
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrainError::Dataset(e) => write!(f, "dataset generation failed: {e}"),
+            TrainError::ZeroBatchSize => write!(f, "batch size must be at least 1"),
         }
     }
 }
@@ -151,6 +157,7 @@ impl Error for TrainError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TrainError::Dataset(e) => Some(e),
+            TrainError::ZeroBatchSize => None,
         }
     }
 }
@@ -196,7 +203,7 @@ fn mean(xs: &[f64]) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates dataset-generation failures.
+/// Propagates [`Trainer::new`]'s errors.
 pub fn train_policy(config: &TrainConfig) -> Result<PtrNetPolicy, TrainError> {
     let mut trainer = Trainer::new(config.clone())?;
     trainer.run()?;
@@ -223,8 +230,13 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates dataset-generation failures.
+    /// Returns [`TrainError::ZeroBatchSize`] before any labelling when
+    /// `config.batch_size == 0`, and propagates dataset-generation
+    /// failures, an invalid dataset config among them.
     pub fn new(config: TrainConfig) -> Result<Self, TrainError> {
+        if config.batch_size == 0 {
+            return Err(TrainError::ZeroBatchSize);
+        }
         let dataset = TeacherDataset::generate(&config.dataset, &config.cost_model)?;
         let policy = PtrNetPolicy::new(config.policy);
         let optimizer = Adam::new(config.learning_rate);
@@ -510,6 +522,47 @@ mod tests {
     fn train_policy_wrapper_returns_policy() {
         let policy = train_policy(&TrainConfig::smoke_test()).unwrap();
         assert_eq!(policy.config().hidden, 12);
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_before_labelling() {
+        let mut cfg = TrainConfig::smoke_test();
+        cfg.batch_size = 0;
+        // zero stages would fail labelling, so this error shows the
+        // batch size was checked first
+        cfg.dataset.num_stages = 0;
+        assert!(matches!(
+            Trainer::new(cfg.clone()),
+            Err(TrainError::ZeroBatchSize)
+        ));
+        assert!(matches!(train_policy(&cfg), Err(TrainError::ZeroBatchSize)));
+    }
+
+    fn assert_degrees_rejected(degrees: Vec<usize>) {
+        let mut cfg = TrainConfig::smoke_test();
+        cfg.dataset.degrees = degrees;
+        let invalid = |e: &ScheduleError| matches!(e, ScheduleError::InvalidConfig(_));
+        let err = TeacherDataset::generate(&cfg.dataset, &cfg.cost_model).unwrap_err();
+        assert!(invalid(&err), "{err}");
+        for err in [
+            Trainer::new(cfg.clone()).unwrap_err(),
+            train_policy(&cfg).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, TrainError::Dataset(e) if invalid(e)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_degree_classes_are_rejected() {
+        assert_degrees_rejected(vec![]);
+    }
+
+    #[test]
+    fn zero_degree_class_is_rejected() {
+        assert_degrees_rejected(vec![2, 0]);
     }
 
     #[test]

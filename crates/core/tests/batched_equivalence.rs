@@ -1,8 +1,11 @@
 //! Determinism guard for the batched decode paths: batching is a pure
 //! performance optimization, so [`PtrNetPolicy::rollout_batch`] and
 //! [`PtrNetPolicy::decode_batch`] must emit exactly the sequences and
-//! log-probabilities the serial paths emit for the same seeds — on
-//! training-scale teacher graphs, across batch sizes, and run-to-run.
+//! log-probabilities that one-graph calls emit for the same seeds — on
+//! training-scale teacher graphs, across batch sizes whose lanes differ in
+//! candidate count, and run-to-run. The one-graph calls run the same
+//! kernels, so this pins lane independence; the dense references live in
+//! `rollout_oracle.rs` and `decode_oracle.rs`.
 
 use respect_core::dataset::{DatasetConfig, TeacherDataset};
 use respect_core::{embed, DecodeMode, PolicyConfig, PtrNetPolicy};

@@ -105,6 +105,11 @@ impl SyntheticSampler {
     /// Guarantees: exactly `num_nodes` nodes, acyclic, weakly connected,
     /// `max_in_degree(dag) <= config.max_in_degree`, node 0 is the unique
     /// source-side entry (every node is reachable from it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_in_degree == 0` and `config.num_nodes > 1`:
+    /// every node after the first needs a parent.
     pub fn sample(&mut self) -> Dag {
         let cfg = self.config.clone();
         let n = cfg.num_nodes.max(1);

@@ -37,6 +37,9 @@ pub enum ScheduleError {
     NoStages,
     /// The solver could not produce a schedule (e.g. budget exhausted).
     SolverFailed(String),
+    /// A configuration cannot produce the graphs to schedule (e.g. a
+    /// training dataset without degree classes).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for ScheduleError {
@@ -55,6 +58,7 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::NoStages => write!(f, "pipeline must have at least one stage"),
             ScheduleError::SolverFailed(msg) => write!(f, "solver failed: {msg}"),
+            ScheduleError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
