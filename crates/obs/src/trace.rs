@@ -1,11 +1,11 @@
 //! Chrome `trace_event` JSON export of the probe stream.
 //!
-//! [`ChromeTraceRecorder`] is a [`Probe`] that turns acquire/release
-//! pairs into complete (`"ph":"X"`) span events and the control-plane
-//! events (sheds, drift triggers, repartition decisions, autoscale
-//! steps) into instant (`"ph":"i"`) markers. The JSON is the
-//! [Trace Event Format] consumed by Perfetto (<https://ui.perfetto.dev>)
-//! and `chrome://tracing`:
+//! [`ChromeTraceRecorder`] is a [`Probe`] that turns the acquire/release
+//! pairs of a [`SpanProbe`] into complete (`"ph":"X"`) span events and
+//! the control-plane events (sheds, drift triggers, repartition
+//! decisions, autoscale steps) into instant (`"ph":"i"`) markers. The
+//! JSON is the [Trace Event Format] consumed by Perfetto
+//! (<https://ui.perfetto.dev>) and `chrome://tracing`:
 //!
 //! * **process** (`pid`) = fleet chain index, named `chain<c>` via
 //!   metadata events;
@@ -39,9 +39,7 @@
 //! assert!(json.contains("\"ph\":\"X\""));
 //! ```
 
-use std::collections::BTreeMap;
-
-use respect_tpu::probe::{Probe, ProbeEvent};
+use respect_tpu::probe::{Probe, ProbeEvent, SpanProbe, TraceSpan};
 use respect_tpu::sim::ResourceId;
 
 /// `tid` of the shared host bus within each chain-process.
@@ -60,15 +58,7 @@ pub const FLEET_PID: u32 = 9_999;
 #[derive(Debug, Clone)]
 enum TraceEvent {
     /// `"ph":"X"` — a complete span.
-    Span {
-        pid: u32,
-        tid: u32,
-        ts_us: f64,
-        dur_us: f64,
-        name: String,
-        tenant: u32,
-        request: u32,
-    },
+    Span(TraceSpan),
     /// `"ph":"i"` — an instant marker.
     Instant {
         pid: u32,
@@ -82,8 +72,8 @@ enum TraceEvent {
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTraceRecorder {
     events: Vec<TraceEvent>,
-    /// Open holds: `(chain, tid) → (acquire time, tenant, request, stage)`.
-    open: BTreeMap<(u16, u32), (f64, u32, u32, u16)>,
+    /// Pairs acquire/release events into spans.
+    holds: SpanProbe,
     /// Highest chain index seen, for process-name metadata.
     max_chain: u16,
     saw_fleet_event: bool,
@@ -146,19 +136,23 @@ impl ChromeTraceRecorder {
         }
         for ev in &self.events {
             parts.push(match ev {
-                TraceEvent::Span {
-                    pid,
-                    tid,
-                    ts_us,
-                    dur_us,
-                    name,
-                    tenant,
-                    request,
-                } => format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"resource\",\"ph\":\"X\",\
-                     \"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"dur\":{dur_us},\
-                     \"args\":{{\"tenant\":{tenant},\"request\":{request}}}}}"
-                ),
+                TraceEvent::Span(span) => {
+                    let name = match span.resource {
+                        ResourceId::Device(_) => format!("stage{}", span.stage),
+                        ResourceId::Bus => format!("xfer s{}", span.stage),
+                    };
+                    format!(
+                        "{{\"name\":\"{name}\",\"cat\":\"resource\",\"ph\":\"X\",\
+                         \"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
+                         \"args\":{{\"tenant\":{},\"request\":{}}}}}",
+                        span.chain,
+                        resource_tid(span.resource),
+                        span.start_s * 1e6,
+                        (span.end_s - span.start_s) * 1e6,
+                        span.tenant,
+                        span.request
+                    )
+                }
                 TraceEvent::Instant {
                     pid,
                     tid,
@@ -177,35 +171,13 @@ impl ChromeTraceRecorder {
 impl Probe for ChromeTraceRecorder {
     fn record(&mut self, t: f64, ev: &ProbeEvent) {
         match *ev {
-            ProbeEvent::Acquire {
-                chain,
-                resource,
-                tenant,
-                request,
-                stage,
-            } => {
+            ProbeEvent::Acquire { chain, .. } => {
                 self.max_chain = self.max_chain.max(chain);
-                self.open
-                    .insert((chain, resource_tid(resource)), (t, tenant, request, stage));
+                self.holds.pair(t, ev);
             }
-            ProbeEvent::Release {
-                chain, resource, ..
-            } => {
-                let tid = resource_tid(resource);
-                if let Some((t0, tenant, request, stage)) = self.open.remove(&(chain, tid)) {
-                    let name = match resource {
-                        ResourceId::Device(_) => format!("stage{stage}"),
-                        ResourceId::Bus => format!("xfer s{stage}"),
-                    };
-                    self.events.push(TraceEvent::Span {
-                        pid: u32::from(chain),
-                        tid,
-                        ts_us: t0 * 1e6,
-                        dur_us: (t - t0) * 1e6,
-                        name,
-                        tenant,
-                        request,
-                    });
+            ProbeEvent::Release { .. } => {
+                if let Some(span) = self.holds.pair(t, ev) {
+                    self.events.push(TraceEvent::Span(span));
                 }
             }
             ProbeEvent::Shed {

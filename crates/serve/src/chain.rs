@@ -4,41 +4,34 @@
 //! share one deterministic event loop.
 //!
 //! A [`ChainEngine`] owns everything that used to assume "the chain is
-//! the world": the devices and their FIFO queues, the (optional) shared
-//! USB bus, per-tenant open batches, in-flight job slabs, timing
-//! caches, and drift windows. What it does *not* own is the clock, the
-//! pending-event set, or per-request bookkeeping (arrival/completion
+//! the world": the devices and the (optional) shared USB bus — the
+//! [`respect_tpu::chain`] core that `respect_tpu::sim` drives too —
+//! plus per-tenant open batches, in-flight job slabs, timing caches,
+//! and drift windows. A job on the core is one closed batch: its slot
+//! is the job-slab key. What the engine does *not* own is the clock,
+//! the pending-event set, or per-request bookkeeping (arrival/completion
 //! times, admitted order) — those belong to a **driver**: the
 //! single-chain driver in [`crate::runtime`] and the fleet driver in
 //! [`crate::fleet`] both run the same engine, which is what makes the
 //! "1-chain fleet ≡ `serve`" differential pin meaningful.
 //!
-//! Events are packed (`u32`/`u16` payloads, as the raw engine's
-//! PR 6-style slab machinery) and tagged with the chain index, so fleet
-//! event dispatch stays allocation-free: the driver pops
+//! Events are packed (`u32`/`u16` payloads) and tagged with the chain
+//! index, so fleet event dispatch stays allocation-free: the driver pops
 //! `Event::Chain { c, k }` and hands `k` to engine `c`.
-//!
-//! **Sync contract with `respect_tpu::sim`**: the device/bus event
-//! machinery below (event ordering, FIFO seize/release, the four-phase
-//! contended bus walk, zero-length-transfer elision) deliberately
-//! mirrors the raw engine rather than sharing code with it. Any change
-//! to the timing or contention semantics in `crates/tpu/src/sim.rs`
-//! must be mirrored here; the bitwise differential property tests in
-//! `crates/serve/tests` exist to catch a missed mirror.
 
 use std::rc::Rc;
 
 use respect_sched::repartition;
+use respect_tpu::chain::{Chain, Finished, JobId, JobTable, StageEvent, StageTiming};
 use respect_tpu::compile::{self, CompiledPipeline};
 use respect_tpu::device::DeviceSpec;
 use respect_tpu::event_queue::EventQueue;
-use respect_tpu::mem::{InlineVec, Slab, SmallQueue};
+use respect_tpu::mem::{InlineVec, Slab};
 use respect_tpu::probe::{
-    BusSnapshot, ChainSnapshot, DeviceSnapshot, EngineInspect, EngineKind, EngineSnapshot, Probe,
-    ProbeEvent, ShedReason, TenantSnapshot,
+    ChainSnapshot, EngineInspect, EngineKind, EngineSnapshot, Probe, ProbeEvent, ShedReason,
+    TenantSnapshot,
 };
-use respect_tpu::sim::{self, ArrivalSampler, ResourceId};
-use respect_tpu::usb;
+use respect_tpu::sim::{self, ArrivalSampler};
 
 use crate::drift::{DriftWindow, Repartitioner};
 use crate::runtime::{AdmissionPolicy, ServeTenant, SwapRecord};
@@ -56,57 +49,26 @@ pub(crate) enum Event {
     Chain { c: u16, k: ChainEvent },
 }
 
+// with its `f64` time, this payload fills a 24-byte calendar entry
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+impl From<(u16, StageEvent)> for Event {
+    #[inline]
+    fn from((c, ev): (u16, StageEvent)) -> Self {
+        Event::Chain {
+            c,
+            k: ChainEvent::Stage(ev),
+        }
+    }
+}
+
 /// A chain-local event, without the chain tag.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChainEvent {
     /// The open batch of tenant `w` hit its linger deadline.
     FlushBatch { w: u32, epoch: u32 },
-    /// The whole uncontended stage hold elapsed.
-    StageDone { w: u32, j: u32, k: u16 },
-    /// Host dispatch elapsed (contended path).
-    HostDone { w: u32, j: u32, k: u16 },
-    /// Compute elapsed (contended path).
-    ComputeDone { w: u32, j: u32, k: u16 },
-    /// A bus hold finished (contended path).
-    BusDone {
-        w: u32,
-        j: u32,
-        k: u16,
-        phase: BusPhase,
-    },
-}
-
-/// Per-stage timings of one job, mirroring the engine decomposition of
-/// `respect_tpu::sim` (the `hold_s` arithmetic is
-/// [`sim::batch_service_time`], bitwise).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageTiming {
-    pub(crate) hold_s: f64,
-    host_s: f64,
-    input_s: f64,
-    compute_s: f64,
-    stream_s: f64,
-    output_s: f64,
-}
-
-pub(crate) fn job_timings(
-    pipeline: &CompiledPipeline,
-    spec: &DeviceSpec,
-    inferences: usize,
-) -> Vec<StageTiming> {
-    let b = inferences as u64;
-    pipeline
-        .segments
-        .iter()
-        .map(|seg| StageTiming {
-            hold_s: sim::batch_service_time(seg, spec, inferences),
-            host_s: spec.host_overhead_s,
-            input_s: usb::transfer_time(spec, seg.input_bytes * b),
-            compute_s: spec.compute_time(seg.macs * b),
-            stream_s: usb::transfer_time(spec, seg.streamed_bytes * b),
-            output_s: usb::transfer_time(spec, seg.output_bytes * b),
-        })
-        .collect()
+    /// A stage event of the device/bus core.
+    Stage(StageEvent),
 }
 
 pub(crate) fn base_holds(pipeline: &CompiledPipeline, spec: &DeviceSpec, batch: usize) -> Vec<f64> {
@@ -115,15 +77,6 @@ pub(crate) fn base_holds(pipeline: &CompiledPipeline, spec: &DeviceSpec, batch: 
         .iter()
         .map(|seg| sim::batch_service_time(seg, spec, batch))
         .collect()
-}
-
-/// Which transfer of a stage a bus hold carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) enum BusPhase {
-    #[default]
-    Input,
-    Stream,
-    Output,
 }
 
 /// One dynamic batch in flight. Lives in the tenant's job [`Slab`]
@@ -138,31 +91,6 @@ struct Job {
     /// computation (invalidated on hot-swap; in-flight jobs keep the
     /// snapshot they were formed under).
     timing: Rc<[StageTiming]>,
-}
-
-#[derive(Debug, Default)]
-struct Device {
-    busy: bool,
-    /// When the current hold was seized — the busy-time integrator for
-    /// energy accounting (never feeds back into event times).
-    seized_at: f64,
-    queue: SmallQueue<(u32, u32), 4>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct BusRequest {
-    w: u32,
-    j: u32,
-    k: u16,
-    phase: BusPhase,
-    duration: f64,
-}
-
-#[derive(Debug, Default)]
-struct Bus {
-    busy: bool,
-    queue: SmallQueue<BusRequest, 4>,
-    busy_s: f64,
 }
 
 /// Per-tenant mutable state *on one chain*. Request-level bookkeeping
@@ -192,8 +120,8 @@ struct ChainTenant {
     jobs: Slab<Job>,
     /// Jobs closed over the whole run (the slab only holds live ones).
     jobs_executed: usize,
-    /// Memoized [`job_timings`] keyed by job member count, for the
-    /// current pipeline. Invalidated on hot-swap.
+    /// Memoized per-stage job timings keyed by job member count, for
+    /// the current pipeline. Invalidated on hot-swap.
     timing_cache: Vec<Option<Rc<[StageTiming]>>>,
     /// Reusable buffer for per-stage holds handed to the drift window.
     scratch_holds: Vec<f64>,
@@ -210,11 +138,22 @@ impl ChainTenant {
     fn waiting(&self) -> usize {
         self.open.len() + self.waiting_stage0
     }
+}
 
-    /// Stage count of job `j` (its snapshot, not the current pipeline:
-    /// in-flight jobs finish on the partition they were formed under).
-    fn pipeline_stages(&self, j: usize) -> usize {
-        self.jobs[j].timing.len()
+/// The chain's job store, as the resource core reads it.
+struct Jobs<'s>(&'s [ChainTenant]);
+
+impl JobTable for Jobs<'_> {
+    #[inline]
+    fn timing(&self, job: JobId, k: usize) -> &StageTiming {
+        &self.0[job.tenant as usize].jobs[job.slot as usize].timing[k]
+    }
+
+    /// A job's representative request (its first member).
+    #[inline]
+    fn request(&self, job: JobId) -> u32 {
+        let members = &self.0[job.tenant as usize].jobs[job.slot as usize].members;
+        members.as_slice().first().copied().unwrap_or(0)
     }
 }
 
@@ -249,9 +188,7 @@ pub(crate) struct ChainEngine<'a> {
     c: u16,
     tenants: &'a [ServeTenant],
     spec: DeviceSpec,
-    contended_bus: bool,
-    devices: Vec<Device>,
-    bus: Bus,
+    core: Chain,
     states: Vec<ChainTenant>,
     /// `(w, r)` pairs completed by the most recent events; the driver
     /// drains this after every handled event (reused, never grows
@@ -305,9 +242,7 @@ impl<'a> ChainEngine<'a> {
             c,
             tenants,
             spec,
-            contended_bus,
-            devices: (0..chain).map(|_| Device::default()).collect(),
-            bus: Bus::default(),
+            core: Chain::new(c, chain, contended_bus),
             states,
             completed: Vec::new(),
             in_system: 0,
@@ -408,42 +343,10 @@ impl<'a> ChainEngine<'a> {
     ) {
         match kind {
             ChainEvent::FlushBatch { w, .. } => self.close_batch(w as usize, t, q, p),
-            ChainEvent::StageDone { w, j, k } => {
-                self.finish_stage(w as usize, j as usize, k as usize, t, q, p);
-            }
-            ChainEvent::HostDone { w, j, k } => {
-                let d = self.states[w as usize].jobs[j as usize].timing[k as usize].input_s;
-                self.request_bus(
-                    BusRequest {
-                        w,
-                        j,
-                        k,
-                        phase: BusPhase::Input,
-                        duration: d,
-                    },
-                    t,
-                    q,
-                    p,
-                );
-            }
-            ChainEvent::ComputeDone { w, j, k } => {
-                let d = self.states[w as usize].jobs[j as usize].timing[k as usize].stream_s;
-                self.request_bus(
-                    BusRequest {
-                        w,
-                        j,
-                        k,
-                        phase: BusPhase::Stream,
-                        duration: d,
-                    },
-                    t,
-                    q,
-                    p,
-                );
-            }
-            ChainEvent::BusDone { w, j, k, phase } => {
-                self.release_bus(w, j, k, t, q, p);
-                self.after_bus_phase(w, j, k, phase, t, q, p);
+            ChainEvent::Stage(ev) => {
+                if let Some(done) = self.core.handle(ev, t, &Jobs(&self.states), q, p) {
+                    self.finish_stage(done, t, q, p);
+                }
             }
         }
     }
@@ -468,8 +371,12 @@ impl<'a> ChainEngine<'a> {
         let timing = match &st.timing_cache[count] {
             Some(cached) => Rc::clone(cached),
             None => {
-                let fresh: Rc<[StageTiming]> =
-                    job_timings(&st.pipeline, spec, count * batch).into();
+                let fresh: Rc<[StageTiming]> = st
+                    .pipeline
+                    .segments
+                    .iter()
+                    .map(|seg| StageTiming::new(seg, spec, count * batch))
+                    .collect();
                 st.timing_cache[count] = Some(Rc::clone(&fresh));
                 fresh
             }
@@ -485,223 +392,47 @@ impl<'a> ChainEngine<'a> {
                 },
             );
         }
-        let j = st.jobs.insert(Job { members, timing });
-        self.join_device(w, j, 0, t, q, p);
+        let slot = st.jobs.insert(Job { members, timing }) as u32;
+        let job = JobId {
+            tenant: w as u32,
+            slot,
+        };
+        self.join(job, 0, t, q, p);
     }
 
-    /// Representative request of job `j` (its first member) — the id
-    /// carried by the job's acquire/release probe events.
-    fn job_request(&self, w: usize, j: usize) -> u32 {
-        self.states[w].jobs[j]
-            .members
-            .as_slice()
-            .first()
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn join_device<P: Probe>(
+    fn join<P: Probe>(
         &mut self,
-        w: usize,
-        j: usize,
+        job: JobId,
         k: usize,
         t: f64,
         q: &mut impl EventQueue<Event>,
         p: &mut P,
     ) {
-        if self.devices[k].busy {
-            if k == 0 {
-                let st = &mut self.states[w];
-                st.waiting_stage0 += st.jobs[j].members.len();
-            }
-            self.devices[k].queue.push_back((w as u32, j as u32));
-        } else {
-            self.seize_device(w, j, k, t, q, p);
-        }
-    }
-
-    fn seize_device<P: Probe>(
-        &mut self,
-        w: usize,
-        j: usize,
-        k: usize,
-        t: f64,
-        q: &mut impl EventQueue<Event>,
-        p: &mut P,
-    ) {
-        self.devices[k].busy = true;
-        self.devices[k].seized_at = t;
-        if P::ENABLED {
-            p.record(
-                t,
-                &ProbeEvent::Acquire {
-                    chain: self.c,
-                    resource: ResourceId::Device(k),
-                    tenant: w as u32,
-                    request: self.job_request(w, j),
-                    stage: k as u16,
-                },
-            );
-        }
-        let timing = self.states[w].jobs[j].timing[k];
-        let (w, j, k) = (w as u32, j as u32, k as u16);
-        if self.contended_bus {
-            let ev = self.chain_event(ChainEvent::HostDone { w, j, k });
-            q.push(t + timing.host_s, ev);
-        } else {
-            let ev = self.chain_event(ChainEvent::StageDone { w, j, k });
-            q.push(t + timing.hold_s, ev);
-        }
-    }
-
-    /// Zero-length transfers skip the bus entirely (matching
-    /// `usb::transfer_time(_, 0) == 0` and the raw engine).
-    fn request_bus<P: Probe>(
-        &mut self,
-        req: BusRequest,
-        t: f64,
-        q: &mut impl EventQueue<Event>,
-        p: &mut P,
-    ) {
-        if req.duration == 0.0 {
-            self.after_bus_phase(req.w, req.j, req.k, req.phase, t, q, p);
-        } else if self.bus.busy {
-            self.bus.queue.push_back(req);
-        } else {
-            self.grant_bus(req, t, q, p);
-        }
-    }
-
-    fn grant_bus<P: Probe>(
-        &mut self,
-        req: BusRequest,
-        t: f64,
-        q: &mut impl EventQueue<Event>,
-        p: &mut P,
-    ) {
-        self.bus.busy = true;
-        self.bus.busy_s += req.duration;
-        if P::ENABLED {
-            p.record(
-                t,
-                &ProbeEvent::Acquire {
-                    chain: self.c,
-                    resource: ResourceId::Bus,
-                    tenant: req.w,
-                    request: self.job_request(req.w as usize, req.j as usize),
-                    stage: req.k,
-                },
-            );
-        }
-        let ev = self.chain_event(ChainEvent::BusDone {
-            w: req.w,
-            j: req.j,
-            k: req.k,
-            phase: req.phase,
-        });
-        q.push(t + req.duration, ev);
-    }
-
-    fn release_bus<P: Probe>(
-        &mut self,
-        w: u32,
-        j: u32,
-        k: u16,
-        t: f64,
-        q: &mut impl EventQueue<Event>,
-        p: &mut P,
-    ) {
-        self.bus.busy = false;
-        if P::ENABLED {
-            p.record(
-                t,
-                &ProbeEvent::Release {
-                    chain: self.c,
-                    resource: ResourceId::Bus,
-                    tenant: w,
-                    request: self.job_request(w as usize, j as usize),
-                    stage: k,
-                },
-            );
-        }
-        if let Some(next) = self.bus.queue.pop_front() {
-            self.grant_bus(next, t, q, p);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // engine-internal hot path: flat args beat a context struct
-    fn after_bus_phase<P: Probe>(
-        &mut self,
-        w: u32,
-        j: u32,
-        k: u16,
-        phase: BusPhase,
-        t: f64,
-        q: &mut impl EventQueue<Event>,
-        p: &mut P,
-    ) {
-        match phase {
-            BusPhase::Input => {
-                let d = self.states[w as usize].jobs[j as usize].timing[k as usize].compute_s;
-                let ev = self.chain_event(ChainEvent::ComputeDone { w, j, k });
-                q.push(t + d, ev);
-            }
-            BusPhase::Stream => {
-                let d = self.states[w as usize].jobs[j as usize].timing[k as usize].output_s;
-                self.request_bus(
-                    BusRequest {
-                        w,
-                        j,
-                        k,
-                        phase: BusPhase::Output,
-                        duration: d,
-                    },
-                    t,
-                    q,
-                    p,
-                );
-            }
-            BusPhase::Output => self.finish_stage(w as usize, j as usize, k as usize, t, q, p),
+        if self.core.join(job, k, t, &Jobs(&self.states), q, p) && k == 0 {
+            let st = &mut self.states[job.tenant as usize];
+            st.waiting_stage0 += st.jobs[job.slot as usize].members.len();
         }
     }
 
     fn finish_stage<P: Probe>(
         &mut self,
-        w: usize,
-        j: usize,
-        k: usize,
+        done: Finished,
         t: f64,
         q: &mut impl EventQueue<Event>,
         p: &mut P,
     ) {
+        let (w, j) = (done.job.tenant as usize, done.job.slot as usize);
         // busy-time integration for energy: spans never feed back into
         // event times, so the accounting is observation-only
-        let span = t - self.devices[k].seized_at;
-        self.busy_s += span;
-        self.states[w].busy_s += span;
-        self.devices[k].busy = false;
-        if P::ENABLED {
-            p.record(
-                t,
-                &ProbeEvent::Release {
-                    chain: self.c,
-                    resource: ResourceId::Device(k),
-                    tenant: w as u32,
-                    request: self.job_request(w, j),
-                    stage: k as u16,
-                },
-            );
+        self.busy_s += done.held_s;
+        self.states[w].busy_s += done.held_s;
+        if let (0, Some(next)) = (done.k, done.next) {
+            let st = &mut self.states[next.tenant as usize];
+            st.waiting_stage0 -= st.jobs[next.slot as usize].members.len();
         }
-        if let Some((nw, nj)) = self.devices[k].queue.pop_front() {
-            let (nw, nj) = (nw as usize, nj as usize);
-            if k == 0 {
-                let st = &mut self.states[nw];
-                st.waiting_stage0 -= st.jobs[nj].members.len();
-            }
-            self.seize_device(nw, nj, k, t, q, p);
-        }
-        if k + 1 < self.states[w].pipeline_stages(j) {
-            self.join_device(w, j, k + 1, t, q, p);
+        // in-flight jobs finish on the partition they were formed under
+        if done.k + 1 < self.states[w].jobs[j].timing.len() {
+            self.join(done.job, done.k + 1, t, q, p);
         } else {
             self.complete_job(w, j, t, p);
         }
@@ -887,11 +618,11 @@ impl<'a> ChainEngine<'a> {
     }
 
     pub(crate) fn bus_busy_s(&self) -> f64 {
-        self.bus.busy_s
+        self.core.bus_busy_s()
     }
 
     pub(crate) fn device_count(&self) -> usize {
-        self.devices.len()
+        self.core.device_count()
     }
 
     pub(crate) fn spec(&self) -> &DeviceSpec {
@@ -908,19 +639,8 @@ impl<'a> ChainEngine<'a> {
             backlog: self.in_system,
             drain_estimate_s: self.drain_estimate_s(),
             busy_s: self.busy_s,
-            bus: self.contended_bus.then(|| BusSnapshot {
-                busy: self.bus.busy,
-                queued: self.bus.queue.len(),
-                busy_s: self.bus.busy_s,
-            }),
-            devices: self
-                .devices
-                .iter()
-                .map(|d| DeviceSnapshot {
-                    busy: d.busy,
-                    queued: d.queue.len(),
-                })
-                .collect(),
+            bus: self.core.bus_snapshot(),
+            devices: self.core.device_snapshots(),
             tenants: self
                 .states
                 .iter()

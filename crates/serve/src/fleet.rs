@@ -747,6 +747,9 @@ fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
     }
     // chain indices are `u16` and must stay below the shed sentinel
     limit("chains", cfg.chains.len(), usize::from(UNROUTED))?;
+    for spec in &cfg.chains {
+        spec.validate().map_err(ServeError::Spec)?;
+    }
     if let Some(pol) = &cfg.autoscale {
         if pol.min_chains == 0 {
             return Err(ServeError::InvalidAutoscale {
@@ -786,8 +789,9 @@ fn validate_fleet(cfg: &FleetConfig) -> Result<(), ServeError> {
 ///
 /// Returns a [`ServeError`] if any tenant is degenerate (the same
 /// checks as [`crate::runtime::serve`]), the fleet has no chains or
-/// more than `u16::MAX`, or the autoscale policy is degenerate. Nothing
-/// is simulated on error.
+/// more than `u16::MAX`, a chain's spec is degenerate (see
+/// [`DeviceSpec::validate`]), or the autoscale policy is degenerate.
+/// Nothing is simulated on error.
 ///
 /// # Example
 ///

@@ -31,12 +31,13 @@
 //! `crates/serve/tests`. Everything is deterministic per seed: events
 //! are ordered by `(time, insertion sequence)` and all queues are FIFO.
 //!
-//! The chain-level resource semantics (devices, bus, batcher, drift)
-//! live in the extracted per-chain engine (`crate::chain`), which this
-//! module *drives* for the single-chain case; [`crate::fleet`] drives N
-//! of them behind a router. The engine/driver split is pinned by two
-//! differential properties: degenerate `serve` ≡ `sim::run`, and a
-//! 1-chain fleet ≡ `serve`, both bitwise.
+//! Devices, the bus and the stage walk are the [`respect_tpu::chain`]
+//! core, shared with the raw simulator. The per-chain batcher,
+//! admission and drift state wrap it in `crate::chain`'s engine, which
+//! this module *drives* for the single-chain case; [`crate::fleet`]
+//! drives N of them behind a router. Both differential properties —
+//! degenerate `serve` ≡ `sim::run`, and a 1-chain fleet ≡ `serve` —
+//! stay pinned bitwise.
 
 use std::error::Error;
 use std::fmt;
@@ -74,6 +75,8 @@ pub enum ServeError {
     },
     /// The arrival process is degenerate (see [`Arrivals::validate`]).
     Arrivals(SimError),
+    /// A chain's device spec is degenerate (see [`DeviceSpec::validate`]).
+    Spec(SimError),
     /// The batch policy is degenerate.
     InvalidBatcher {
         /// Requests per batch requested.
@@ -122,6 +125,7 @@ impl fmt::Display for ServeError {
                 "warm-up of {warmup} requests leaves nothing to measure out of {requests}"
             ),
             ServeError::Arrivals(e) => write!(f, "arrival process: {e}"),
+            ServeError::Spec(e) => write!(f, "{e}"),
             ServeError::InvalidBatcher {
                 max_batch,
                 max_delay_s,
@@ -838,7 +842,8 @@ pub(crate) fn limit(what: &'static str, count: usize, max: usize) -> Result<(), 
 /// Returns a [`ServeError`] if any tenant is degenerate (zero requests,
 /// zero batch, empty pipeline, bad arrival/batch/admission parameters,
 /// a repartitioner whose dag does not match the deployed schedule), if
-/// no tenants are supplied, or if the tenant, per-tenant request or
+/// no tenants are supplied, if `spec` is degenerate (see
+/// [`DeviceSpec::validate`]), or if the tenant, per-tenant request or
 /// stage count exceeds the packed event fields (`u32`, `u32`, `u16`).
 /// Nothing is simulated on error.
 pub fn serve(
@@ -864,6 +869,7 @@ pub fn serve_probed<P: Probe>(
     probe: &mut P,
 ) -> Result<ServeReport, ServeError> {
     validate_tenants(tenants)?;
+    spec.validate().map_err(ServeError::Spec)?;
     Ok(match cfg.queue {
         QueueKind::BinaryHeap => {
             Driver::<BinaryHeapQueue<Event>, P>::new(tenants, spec, *cfg, probe).run()

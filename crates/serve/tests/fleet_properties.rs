@@ -405,6 +405,51 @@ fn fleet_validation_rejects_degenerate_configurations() {
 }
 
 #[test]
+fn fleet_rejects_a_degenerate_spec_on_any_chain() {
+    let coral = DeviceSpec::coral();
+    let tenants = [ServeTenant::new(random_pipeline(4, 3), 10)];
+    for (name, bad) in [
+        (
+            "host_overhead_s",
+            DeviceSpec {
+                host_overhead_s: f64::NAN,
+                ..coral
+            },
+        ),
+        (
+            "usb_overhead_s",
+            DeviceSpec {
+                usb_overhead_s: -1.0,
+                ..coral
+            },
+        ),
+        (
+            "macs_per_sec",
+            DeviceSpec {
+                macs_per_sec: 0.0,
+                ..coral
+            },
+        ),
+    ] {
+        let cfg = FleetConfig::homogeneous(2, coral)
+            .with_chains(vec![coral, bad])
+            .with_contended_bus();
+        let plain = serve_fleet(&tenants, &cfg);
+        let probed = serve_fleet_probed(&tenants, &cfg, &mut respect_tpu::NullProbe);
+        for r in [plain, probed] {
+            assert!(
+                matches!(
+                    r,
+                    Err(ServeError::Spec(sim::SimError::InvalidSpec { field, .. }))
+                        if field == name
+                ),
+                "{name}: {r:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fleet_rejects_request_counts_beyond_the_packed_event_fields() {
     let requests = u32::MAX as usize + 1;
     let huge = [ServeTenant::new(random_pipeline(2, 1), requests)];

@@ -14,6 +14,10 @@
 //!   steady-state throughput vs unbatched serving;
 //! * **Determinism**: a fixed seed reproduces the full serving report
 //!   (histograms included) bitwise;
+//! * **Mutual exclusion and FIFO**: under batching and admission, in
+//!   `serve` and in a routed fleet, no `(chain, resource)` is held by
+//!   two jobs at once, and every device starts one tenant's jobs in
+//!   increasing first-member order;
 //! * **Histogram accuracy**: quantiles under-report the exact order
 //!   statistic by at most one log-bucket width.
 
@@ -22,9 +26,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_sched::Schedule;
 use respect_serve::{
-    serve, AdmissionPolicy, BatchPolicy, LatencyHistogram, ServeConfig, ServeTenant,
+    serve, serve_fleet_probed, serve_probed, AdmissionPolicy, BatchPolicy, FleetConfig,
+    LatencyHistogram, RouterPolicy, ServeConfig, ServeTenant,
 };
-use respect_tpu::sim::{self, Arrivals, SimConfig, Workload};
+use respect_tpu::probe::{SpanProbe, TraceSpan};
+use respect_tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
 use respect_tpu::{CompiledPipeline, DeviceSpec, Segment};
 
 /// A random pipeline with consistent inter-stage byte counts
@@ -110,8 +116,86 @@ fn assert_serve_matches_sim(workloads: &[Workload], contended: bool) {
     }
 }
 
+/// Asserts that no `(chain, resource)` is held twice at once and that
+/// every device starts each tenant's jobs in increasing first-member
+/// order.
+fn assert_exclusive_and_fifo(spans: &[TraceSpan], tenants: u32) {
+    assert!(!spans.is_empty(), "the run held no resource");
+    let mut keys: Vec<(u16, ResourceId)> = Vec::new();
+    for s in spans {
+        if !keys.contains(&(s.chain, s.resource)) {
+            keys.push((s.chain, s.resource));
+        }
+    }
+    for (chain, resource) in keys {
+        let mut held: Vec<&TraceSpan> = spans
+            .iter()
+            .filter(|s| (s.chain, s.resource) == (chain, resource))
+            .collect();
+        held.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        for w in held.windows(2) {
+            assert!(
+                w[1].start_s >= w[0].end_s,
+                "chain {chain} {resource:?} double-booked: {:?} then {:?}",
+                w[0],
+                w[1]
+            );
+        }
+        if let ResourceId::Device(_) = resource {
+            for tenant in 0..tenants {
+                let firsts: Vec<u32> = held
+                    .iter()
+                    .filter(|s| s.tenant == tenant)
+                    .map(|s| s.request)
+                    .collect();
+                assert!(
+                    firsts.windows(2).all(|w| w[0] < w[1]),
+                    "chain {chain} {resource:?} served tenant {tenant} out of order: {firsts:?}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn serve_and_fleet_never_double_book_a_resource(
+        stages in 1usize..=5,
+        seed in 0u64..1 << 48,
+    ) {
+        let spec = DeviceSpec::coral();
+        let p = random_pipeline(stages, seed);
+        let q = random_pipeline(stages, seed ^ 0x7777);
+        // two tenants offered well past one chain's capacity: batches,
+        // queues and sheds all occur
+        let rate = 1.5 / max_hold(&p, &spec).max(max_hold(&q, &spec));
+        let tenants: Vec<ServeTenant> = [p, q]
+            .into_iter()
+            .enumerate()
+            .map(|(i, pipeline)| {
+                ServeTenant::new(pipeline, 80)
+                    .with_arrivals(Arrivals::Poisson { rate, seed: seed ^ i as u64 })
+                    .with_batcher(BatchPolicy::new(3, 1.0 / rate))
+                    .with_admission(AdmissionPolicy::QueueBound { max_waiting: 6 })
+            })
+            .collect();
+        for contended in [false, true] {
+            let cfg = if contended { ServeConfig::contended() } else { ServeConfig::uncontended() };
+            let mut probe = SpanProbe::new();
+            serve_probed(&tenants, &spec, &cfg, &mut probe).unwrap();
+            assert_exclusive_and_fifo(probe.spans(), 2);
+
+            let mut fleet = FleetConfig::homogeneous(3, spec)
+                .with_router(RouterPolicy::JoinShortestBacklog);
+            fleet.contended_bus = contended;
+            let mut probe = SpanProbe::new();
+            serve_fleet_probed(&tenants, &fleet, &mut probe).unwrap();
+            assert_exclusive_and_fifo(probe.spans(), 2);
+            prop_assert!(probe.spans().iter().any(|s| s.chain == 2), "routing reached chain 2");
+        }
+    }
 
     #[test]
     fn degenerate_serving_is_bitwise_the_raw_simulator(

@@ -335,6 +335,50 @@ fn counts_beyond_the_packed_event_fields_are_rejected() {
 }
 
 #[test]
+fn degenerate_device_specs_are_rejected() {
+    let (_, pipeline, coral) = poor_deployment();
+    let tenants = [ServeTenant::new(pipeline, 10)];
+    for (name, spec) in [
+        (
+            "host_overhead_s",
+            DeviceSpec {
+                host_overhead_s: f64::NAN,
+                ..coral
+            },
+        ),
+        (
+            "usb_overhead_s",
+            DeviceSpec {
+                usb_overhead_s: -1.0,
+                ..coral
+            },
+        ),
+        (
+            "macs_per_sec",
+            DeviceSpec {
+                macs_per_sec: 0.0,
+                ..coral
+            },
+        ),
+    ] {
+        for cfg in [ServeConfig::uncontended(), ServeConfig::contended()] {
+            let plain = serve(&tenants, &spec, &cfg);
+            let probed = serve_probed(&tenants, &spec, &cfg, &mut respect_tpu::NullProbe);
+            for r in [plain, probed] {
+                assert!(
+                    matches!(
+                        r,
+                        Err(ServeError::Spec(sim::SimError::InvalidSpec { field, .. }))
+                            if field == name
+                    ),
+                    "{name}: {r:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn degenerate_configurations_are_rejected() {
     let (dag, pipeline, spec) = poor_deployment();
     let cfg = ServeConfig::uncontended();

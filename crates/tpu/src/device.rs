@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::sim::SimError;
+
 /// Hardware constants of one pipeline stage (an Edge TPU on USB 3.0).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSpec {
@@ -49,6 +51,38 @@ impl DeviceSpec {
     #[inline]
     pub fn compute_time(&self, macs: u64) -> f64 {
         macs as f64 / self.macs_per_sec
+    }
+
+    /// Checks that the engines can simulate with this spec: the rates
+    /// (`macs_per_sec`, `usb_bytes_per_sec`) must be positive and finite,
+    /// the overheads (`usb_overhead_s`, `host_overhead_s`) finite and
+    /// nonnegative. A `NaN` or negative overhead would reach the event
+    /// queue as an event time; a zero rate makes every hold infinite.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidSpec`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let rates = [
+            ("macs_per_sec", self.macs_per_sec),
+            ("usb_bytes_per_sec", self.usb_bytes_per_sec),
+        ];
+        let overheads = [
+            ("usb_overhead_s", self.usb_overhead_s),
+            ("host_overhead_s", self.host_overhead_s),
+        ];
+        let bad = rates
+            .into_iter()
+            .find(|&(_, v)| !(v > 0.0 && v.is_finite()))
+            .or_else(|| {
+                overheads
+                    .into_iter()
+                    .find(|&(_, v)| !(v >= 0.0 && v.is_finite()))
+            });
+        match bad {
+            Some((field, value)) => Err(SimError::InvalidSpec { field, value }),
+            None => Ok(()),
+        }
     }
 
     /// The matching abstract [`respect_sched::CostModel`], used by the

@@ -14,8 +14,10 @@
 //!   materialization, a real int8 quantization pass, binary layout, and
 //!   the parameter-balancing partitioner (its wall-clock stands in for
 //!   the commercial compiler's solving time in Fig. 3);
-//! * [`sim`] — the deterministic discrete-event engine: per-device FIFO
-//!   servers, an optionally shared host USB bus with FIFO contention,
+//! * [`chain`] — the device/bus core every engine drives: per-device
+//!   FIFO servers, an optionally shared host USB bus with FIFO
+//!   contention, and the stage walk over them;
+//! * [`sim`] — the deterministic discrete-event engine over that core:
 //!   open/closed-loop arrivals, batching, and multi-tenant co-residency;
 //! * [`event_queue`] — the pending-event set behind the engine: the
 //!   [`EventQueue`] trait with binary-heap and
@@ -25,7 +27,8 @@
 //!   vectors, a deterministic slab) for the event hot path;
 //! * [`probe`] — zero-cost observability hooks: the [`Probe`] trait and
 //!   typed [`ProbeEvent`]s emitted by this engine and every serving
-//!   layer above it, compiled away under the default [`NullProbe`];
+//!   layer above it, compiled away under the default [`NullProbe`], and
+//!   the [`probe::SpanProbe`] that pairs resource holds into spans;
 //! * [`exec`] — pipelined inference streams on top of [`sim`] (the
 //!   Fig. 4 on-chip runtime metric), plus the closed-form analytic
 //!   oracle the engine is differentially tested against;
@@ -50,6 +53,7 @@
 //! ```
 
 pub mod caching;
+pub mod chain;
 pub mod compile;
 pub mod device;
 pub mod energy;

@@ -13,9 +13,9 @@
 //!
 //! Recorders that do something useful with the stream (metrics
 //! counters, Chrome `trace_event` JSON, a bounded flight-recorder ring)
-//! live in the `respect_obs` crate; this module only defines the
-//! contract, low enough in the crate graph that every layer can emit
-//! into it.
+//! live in the `respect_obs` crate; this module defines the contract,
+//! low enough in the crate graph that every layer can emit into it, and
+//! the [`SpanProbe`] that pairs resource holds into [`TraceSpan`]s.
 //!
 //! # Example
 //!
@@ -41,7 +41,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::sim::{ResourceId, TraceSpan};
+use crate::sim::ResourceId;
 
 /// Why an admission controller refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -415,155 +415,110 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// Busy-interval log with an optional ring-mode cap — the recorder
-/// behind [`crate::sim::SimConfig::record_trace`].
-///
-/// Unbounded mode reproduces the historical `SimReport::trace` exactly.
-/// Bounded mode (see [`crate::sim::SimConfig::with_trace_cap`]) keeps
-/// only the *last* `cap` spans in arrival order, so multi-hour soak
-/// horizons can record a post-mortem tail in constant memory instead of
-/// growing without bound.
-#[derive(Debug, Clone, Default)]
-pub struct SpanLog {
-    spans: Vec<TraceSpan>,
-    cap: Option<usize>,
-    /// Ring write cursor, meaningful once `spans.len() == cap`.
-    head: usize,
-    dropped: u64,
+/// One busy interval of one resource, paired from an
+/// [`ProbeEvent::Acquire`] and its [`ProbeEvent::Release`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceSpan {
+    /// Fleet chain index (0 for sim/serve).
+    pub chain: u16,
+    /// The resource that was held.
+    pub resource: ResourceId,
+    /// Tenant holding it.
+    pub tenant: u32,
+    /// Request the hold carries (a batch's first member).
+    pub request: u32,
+    /// Pipeline stage the hold belongs to.
+    pub stage: u16,
+    /// Hold start, seconds.
+    pub start_s: f64,
+    /// Hold end, seconds.
+    pub end_s: f64,
 }
 
-impl SpanLog {
-    /// A log that grows without bound (the historical behavior).
+/// A probe that pairs each `Acquire` with its `Release` into a
+/// [`TraceSpan`], collected in release order. Holds pair per
+/// `(chain, resource)`, since every resource is an exclusive server, so
+/// it observes `sim`, `serve` and `serve_fleet` runs alike.
+#[derive(Debug, Clone, Default)]
+pub struct SpanProbe {
+    /// Open holds per chain: slot 0 is the bus, slot `k + 1` device `k`.
+    open: Vec<Vec<Option<TraceSpan>>>,
+    spans: Vec<TraceSpan>,
+}
+
+impl SpanProbe {
+    /// A probe with no spans.
     #[must_use]
-    pub fn unbounded() -> Self {
-        SpanLog::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A log that keeps only the most recent `cap` spans. A zero cap
-    /// drops everything.
+    /// Spans closed so far, in release order.
     #[must_use]
-    pub fn bounded(cap: usize) -> Self {
-        SpanLog {
-            spans: Vec::with_capacity(cap.min(4096)),
-            cap: Some(cap),
-            head: 0,
-            dropped: 0,
-        }
+    pub fn spans(&self) -> &[TraceSpan] {
+        &self.spans
     }
 
-    /// Appends one span, evicting the oldest when at the cap.
-    pub fn push(&mut self, span: TraceSpan) {
-        match self.cap {
-            None => self.spans.push(span),
-            Some(0) => self.dropped += 1,
-            Some(cap) => {
-                if self.spans.len() < cap {
-                    self.spans.push(span);
-                } else {
-                    self.spans[self.head] = span;
-                    self.head = (self.head + 1) % cap;
-                    self.dropped += 1;
-                }
+    /// Opens a hold on an `Acquire` and returns the span a `Release`
+    /// closes, without collecting it. Other events are ignored.
+    pub fn pair(&mut self, t: f64, ev: &ProbeEvent) -> Option<TraceSpan> {
+        match *ev {
+            ProbeEvent::Acquire {
+                chain,
+                resource,
+                tenant,
+                request,
+                stage,
+            } => {
+                *self.hold(chain, resource) = Some(TraceSpan {
+                    chain,
+                    resource,
+                    tenant,
+                    request,
+                    stage,
+                    start_s: t,
+                    end_s: t,
+                });
+                None
             }
+            ProbeEvent::Release {
+                chain, resource, ..
+            } => {
+                let span = self.hold(chain, resource).take()?;
+                Some(TraceSpan { end_s: t, ..span })
+            }
+            _ => None,
         }
     }
 
-    /// Spans recorded and retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted (or refused, at cap 0) by ring mode.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the log into chronologically ordered spans (rotating
-    /// the ring so the oldest retained span comes first).
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<TraceSpan> {
-        if self.cap.is_some() && self.head > 0 {
-            self.spans.rotate_left(self.head);
+    fn hold(&mut self, chain: u16, resource: ResourceId) -> &mut Option<TraceSpan> {
+        let c = usize::from(chain);
+        if self.open.len() <= c {
+            self.open.resize_with(c + 1, Vec::new);
         }
-        self.spans
+        let slot = match resource {
+            ResourceId::Bus => 0,
+            ResourceId::Device(k) => k + 1,
+        };
+        let holds = &mut self.open[c];
+        if holds.len() <= slot {
+            holds.resize(slot + 1, None);
+        }
+        &mut holds[slot]
+    }
+}
+
+impl Probe for SpanProbe {
+    fn record(&mut self, t: f64, ev: &ProbeEvent) {
+        if let Some(span) = self.pair(t, ev) {
+            self.spans.push(span);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn span(i: usize) -> TraceSpan {
-        TraceSpan {
-            resource: ResourceId::Bus,
-            tenant: 0,
-            request: i,
-            stage: 0,
-            start_s: i as f64,
-            end_s: i as f64 + 0.5,
-        }
-    }
-
-    #[test]
-    fn unbounded_log_keeps_everything_in_order() {
-        let mut log = SpanLog::unbounded();
-        for i in 0..10 {
-            log.push(span(i));
-        }
-        assert_eq!(log.len(), 10);
-        assert_eq!(log.dropped(), 0);
-        let v = log.into_vec();
-        assert_eq!(
-            v.iter().map(|s| s.request).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn bounded_log_keeps_the_chronological_tail() {
-        let mut log = SpanLog::bounded(4);
-        for i in 0..10 {
-            log.push(span(i));
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        let v = log.into_vec();
-        assert_eq!(
-            v.iter().map(|s| s.request).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-    }
-
-    #[test]
-    fn bounded_log_below_cap_matches_unbounded() {
-        let mut log = SpanLog::bounded(16);
-        for i in 0..5 {
-            log.push(span(i));
-        }
-        assert_eq!(log.dropped(), 0);
-        let v = log.into_vec();
-        assert_eq!(v.len(), 5);
-        assert_eq!(v[0].request, 0);
-    }
-
-    #[test]
-    fn zero_cap_drops_everything() {
-        let mut log = SpanLog::bounded(0);
-        for i in 0..3 {
-            log.push(span(i));
-        }
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 3);
-        assert!(log.into_vec().is_empty());
-    }
 
     #[test]
     fn null_probe_is_disabled_and_fanout_composes() {

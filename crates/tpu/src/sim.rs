@@ -26,6 +26,10 @@
 //! * **Multi-tenancy** — several [`Workload`]s (distinct
 //!   [`CompiledPipeline`]s) co-resident on one device chain and bus.
 //!
+//! The devices, the bus and the stage walk over them are the shared
+//! [`crate::chain`] core, which the serving runtime in `respect_serve`
+//! drives too; this module is its raw driver, with one request per job.
+//!
 //! The engine is bitwise deterministic: events are ordered by
 //! `(time, insertion sequence)` in a pluggable [`EventQueue`]
 //! implementation (see [`SimConfig::queue`] — a calendar queue by
@@ -34,15 +38,15 @@
 //! sampler from the `rand` shim. With an uncontended bus, a single
 //! closed-loop unbatched tenant reproduces the analytic recurrence
 //! *exactly* (same additions in the same order) — property-tested in
-//! `tests/sim_properties.rs`.
+//! `tests/sim_properties.rs`. Attach a [`crate::probe::SpanProbe`] to
+//! [`run_probed`] to collect per-resource busy intervals.
 //!
-//! The hot path is allocation-free in steady state: per-event state
-//! lives in [`SmallQueue`] inline rings, the pending-event set reuses
-//! its buckets, and per-tenant statistics stream into scalar
-//! accumulators (in the exact floating-point order of the seed
-//! implementation) instead of per-request arrays, so multi-hour soak
-//! horizons run in constant memory unless completion records or traces
-//! are requested.
+//! The hot path is allocation-free in steady state: the core's FIFOs
+//! are inline rings, the pending-event set reuses its buckets, and
+//! per-tenant statistics stream into scalar accumulators (in the exact
+//! floating-point order of the seed implementation) instead of
+//! per-request arrays, so multi-hour soak horizons run in constant
+//! memory unless completion records are requested.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -52,15 +56,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::{Chain, JobId, JobTable, StageEvent, StageTiming};
 use crate::compile::{CompiledPipeline, Segment};
 use crate::device::DeviceSpec;
 use crate::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
-use crate::mem::SmallQueue;
 use crate::probe::{
-    BusSnapshot, ChainSnapshot, DeviceSnapshot, EngineInspect, EngineKind, EngineSnapshot,
-    NullProbe, Probe, ProbeEvent, SpanLog, TenantSnapshot,
+    ChainSnapshot, EngineInspect, EngineKind, EngineSnapshot, NullProbe, Probe, ProbeEvent,
+    TenantSnapshot,
 };
-use crate::usb;
 
 /// Errors rejected by [`run`] before any event is simulated.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,6 +113,14 @@ pub enum SimError {
         /// The largest count the engine accepts.
         max: usize,
     },
+    /// A [`DeviceSpec`] rate is not positive and finite, or an overhead
+    /// is negative or non-finite (see [`DeviceSpec::validate`]).
+    InvalidSpec {
+        /// The offending field, e.g. `"host_overhead_s"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -147,6 +158,11 @@ impl fmt::Display for SimError {
             SimError::TooLarge { what, count, max } => {
                 write!(f, "{count} {what} exceed the engine's limit of {max}")
             }
+            SimError::InvalidSpec { field, value } => write!(
+                f,
+                "device spec {field} = {value} is out of range (rates must be positive \
+                 and finite, overheads finite and nonnegative)"
+            ),
         }
     }
 }
@@ -471,14 +487,6 @@ pub struct SimConfig {
     /// parameter transfers of all devices and tenants share one USB bus,
     /// served in FIFO order.
     pub contended_bus: bool,
-    /// Record per-resource busy intervals in [`SimReport::trace`]
-    /// (costs memory proportional to event count unless capped by
-    /// [`SimConfig::trace_cap`]; meant for tests and post-mortems).
-    pub record_trace: bool,
-    /// `Some(n)`: keep only the most recent `n` trace spans (ring
-    /// mode — constant memory on long horizons). `None`: unbounded,
-    /// the historical behavior.
-    pub trace_cap: Option<usize>,
     /// Record exact per-request `(arrival, completion)` event times in
     /// [`TenantReport::completions`] (costs memory proportional to
     /// request count). The percentile layer of `respect_serve` is
@@ -496,8 +504,6 @@ impl SimConfig {
     pub fn uncontended() -> Self {
         SimConfig {
             contended_bus: false,
-            record_trace: false,
-            trace_cap: None,
             record_completions: false,
             queue: QueueKind::default(),
         }
@@ -508,27 +514,9 @@ impl SimConfig {
     pub fn contended() -> Self {
         SimConfig {
             contended_bus: true,
-            record_trace: false,
-            trace_cap: None,
             record_completions: false,
             queue: QueueKind::default(),
         }
-    }
-
-    /// Enables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Enables trace recording, keeping only the most recent `cap`
-    /// spans (a constant-memory post-mortem tail for long horizons).
-    #[must_use]
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.record_trace = true;
-        self.trace_cap = Some(cap);
-        self
     }
 
     /// Enables per-request completion records.
@@ -559,24 +547,6 @@ pub enum ResourceId {
     Device(usize),
     /// The shared host USB bus.
     Bus,
-}
-
-/// One busy interval of one resource (recorded when
-/// [`SimConfig::record_trace`] is set).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSpan {
-    /// The resource that was held.
-    pub resource: ResourceId,
-    /// Tenant (workload index) holding it.
-    pub tenant: usize,
-    /// Request index within the tenant.
-    pub request: usize,
-    /// Pipeline stage the hold belongs to.
-    pub stage: usize,
-    /// Hold start, seconds.
-    pub start_s: f64,
-    /// Hold end, seconds.
-    pub end_s: f64,
 }
 
 /// Exact event times of one request (recorded when
@@ -636,47 +606,12 @@ pub struct SimReport {
     pub bus_busy_s: f64,
     /// Events processed.
     pub events: u64,
-    /// Busy intervals per resource (empty unless
-    /// [`SimConfig::record_trace`]).
-    pub trace: Vec<TraceSpan>,
-}
-
-/// Per-stage timings of one workload, batch-scaled once up front.
-#[derive(Debug, Clone, Copy, Default)]
-struct StageTiming {
-    /// Atomic hold for the uncontended path: exactly
-    /// `host + usb(in) + compute + usb(stream) + usb(out)` in that
-    /// order of addition (bitwise-identical to the analytic recurrence
-    /// for `batch == 1`).
-    hold_s: f64,
-    host_s: f64,
-    input_s: f64,
-    compute_s: f64,
-    stream_s: f64,
-    output_s: f64,
 }
 
 /// Deterministic service time of one stage for a `batch`-inference
 /// request: fixed overheads once, payloads scaled by the batch.
 pub fn batch_service_time(seg: &Segment, spec: &DeviceSpec, batch: usize) -> f64 {
-    let b = batch as u64;
-    spec.host_overhead_s
-        + usb::transfer_time(spec, seg.input_bytes * b)
-        + spec.compute_time(seg.macs * b)
-        + usb::transfer_time(spec, seg.streamed_bytes * b)
-        + usb::transfer_time(spec, seg.output_bytes * b)
-}
-
-fn stage_timing(seg: &Segment, spec: &DeviceSpec, batch: usize) -> StageTiming {
-    let b = batch as u64;
-    StageTiming {
-        hold_s: batch_service_time(seg, spec, batch),
-        host_s: spec.host_overhead_s,
-        input_s: usb::transfer_time(spec, seg.input_bytes * b),
-        compute_s: spec.compute_time(seg.macs * b),
-        stream_s: usb::transfer_time(spec, seg.streamed_bytes * b),
-        output_s: usb::transfer_time(spec, seg.output_bytes * b),
-    }
+    StageTiming::new(seg, spec, batch).hold_s
 }
 
 /// Borrowed form of [`Workload`]: what the engine actually reads. Lets
@@ -711,63 +646,50 @@ impl<'a> WorkloadView<'a> {
     }
 }
 
-/// Which transfer of a stage a bus hold carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum BusPhase {
-    #[default]
-    Input,
-    Stream,
-    Output,
-}
-
 /// Pending-event payload. Indices are packed narrow (`u32` tenant and
-/// request, `u16` stage) so a queue entry stays small — at fleet scale
-/// the pending set holds ~one event per tenant and popping is
-/// memory-bound, so entry bytes are events per second. [`Engine::new`]
-/// asserts the bounds, so the casts never truncate.
+/// request, `u16` stage inside [`StageEvent`]) so a queue entry stays
+/// small — at fleet scale the pending set holds ~one event per tenant
+/// and popping is memory-bound, so entry bytes are events per second.
+/// [`Engine::new`] asserts the bounds, so the casts never truncate.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     /// Request `r` of tenant `w` enters the system.
     Arrive { w: u32, r: u32 },
-    /// The whole uncontended stage hold elapsed.
-    StageDone { w: u32, r: u32, k: u16 },
-    /// Host dispatch elapsed (contended path).
-    HostDone { w: u32, r: u32, k: u16 },
-    /// Compute elapsed (contended path).
-    ComputeDone { w: u32, r: u32, k: u16 },
-    /// A bus hold finished (contended path).
-    BusDone {
-        w: u32,
-        r: u32,
-        k: u16,
-        phase: BusPhase,
-    },
+    /// A stage event of the device/bus core.
+    Stage(StageEvent),
 }
 
-/// A single-server FIFO resource (one Edge TPU position).
-#[derive(Debug, Default)]
-struct Device {
-    busy: bool,
-    queue: SmallQueue<(usize, usize), 4>,
-    /// Open hold for trace recording: `(tenant, request, stage, start)`.
-    open: Option<(usize, usize, usize, f64)>,
+// with its `f64` time, this payload fills a 24-byte calendar entry
+const _: () = assert!(std::mem::size_of::<EventKind>() == 12);
+
+impl From<(u16, StageEvent)> for EventKind {
+    #[inline]
+    fn from((_, ev): (u16, StageEvent)) -> Self {
+        EventKind::Stage(ev)
+    }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct BusRequest {
-    w: usize,
-    r: usize,
-    k: usize,
-    phase: BusPhase,
-    duration: f64,
+/// All tenants' stage timings, flat at `w * stride + k`: service events
+/// read timings without touching the (large, per-tenant) [`Tenant`]
+/// records — one predictable indexed load instead of two dependent
+/// pointer chases per event at fleet scale. A job is one request, so
+/// its slot is the request index.
+struct Timings {
+    flat: Vec<StageTiming>,
+    /// Device-chain length.
+    stride: usize,
 }
 
-#[derive(Debug, Default)]
-struct Bus {
-    busy: bool,
-    queue: SmallQueue<BusRequest, 4>,
-    open: Option<(usize, usize, usize, f64)>,
-    busy_s: f64,
+impl JobTable for Timings {
+    #[inline]
+    fn timing(&self, job: JobId, k: usize) -> &StageTiming {
+        &self.flat[job.tenant as usize * self.stride + k]
+    }
+
+    #[inline]
+    fn request(&self, job: JobId) -> u32 {
+        job.slot
+    }
 }
 
 /// Per-tenant mutable simulation state.
@@ -797,17 +719,9 @@ struct Engine<'a, Q, P> {
     workloads: &'a [WorkloadView<'a>],
     cfg: SimConfig,
     queue: Q,
-    devices: Vec<Device>,
-    bus: Bus,
+    chain: Chain,
     tenants: Vec<Tenant>,
-    /// All tenants' stage timings, flat at `w * chain + k`: service
-    /// events read timings without touching the (large, per-tenant)
-    /// [`Tenant`] records — one predictable indexed load instead of
-    /// two dependent pointer chases per event at fleet scale.
-    timings: Vec<StageTiming>,
-    /// Device-chain length; the stride of `timings`.
-    chain: usize,
-    trace: SpanLog,
+    timings: Timings,
     events: u64,
     now: f64,
     /// Monomorphized observer; every call site is guarded by
@@ -827,10 +741,10 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
             .map(WorkloadView::stages)
             .max()
             .unwrap_or(0);
-        let mut timings = vec![StageTiming::default(); workloads.len() * chain];
+        let mut flat = vec![StageTiming::default(); workloads.len() * chain];
         for (w, wl) in workloads.iter().enumerate() {
             for (k, seg) in wl.pipeline.segments.iter().enumerate() {
-                timings[w * chain + k] = stage_timing(seg, spec, wl.batch);
+                flat[w * chain + k] = StageTiming::new(seg, spec, wl.batch);
             }
         }
         let tenants = workloads
@@ -853,23 +767,16 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
             workloads,
             cfg,
             queue: Q::default(),
-            devices: (0..chain).map(|_| Device::default()).collect(),
-            bus: Bus::default(),
+            chain: Chain::new(0, chain, cfg.contended_bus),
             tenants,
-            timings,
-            chain,
-            trace: match cfg.trace_cap {
-                Some(cap) => SpanLog::bounded(cap),
-                None => SpanLog::unbounded(),
+            timings: Timings {
+                flat,
+                stride: chain,
             },
             events: 0,
             now: 0.0,
             probe,
         }
-    }
-
-    fn push(&mut self, t: f64, kind: EventKind) {
-        self.queue.push(t, kind);
     }
 
     fn run(mut self) -> SimReport {
@@ -878,7 +785,7 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
         // per tenant.
         for w in 0..self.workloads.len() {
             let t0 = self.tenants[w].sampler.next_arrival_s();
-            self.push(t0, EventKind::Arrive { w: w as u32, r: 0 });
+            self.queue.push(t0, EventKind::Arrive { w: w as u32, r: 0 });
         }
         while let Some((t, kind)) = self.queue.pop() {
             self.now = t;
@@ -895,58 +802,29 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
                             },
                         );
                     }
-                    let (w, r) = (w as usize, r as usize);
-                    let tenant = &mut self.tenants[w];
+                    let tenant = &mut self.tenants[w as usize];
                     if r == 0 {
                         tenant.first_arrival_s = t;
                     }
                     tenant.inflight_arrivals.push_back(t);
-                    if r + 1 < self.workloads[w].requests {
-                        let tn = self.tenants[w].sampler.next_arrival_s();
-                        self.push(
-                            tn,
-                            EventKind::Arrive {
-                                w: w as u32,
-                                r: (r + 1) as u32,
-                            },
-                        );
+                    if (r as usize) + 1 < self.workloads[w as usize].requests {
+                        let tn = tenant.sampler.next_arrival_s();
+                        self.queue.push(tn, EventKind::Arrive { w, r: r + 1 });
                     }
-                    self.join_device(w, r, 0, t);
+                    self.join(JobId { tenant: w, slot: r }, 0, t);
                 }
-                EventKind::StageDone { w, r, k } => {
-                    self.finish_stage(w as usize, r as usize, k as usize, t);
-                }
-                EventKind::HostDone { w, r, k } => {
-                    let (w, r, k) = (w as usize, r as usize, k as usize);
-                    let d = self.timings[w * self.chain + k].input_s;
-                    self.request_bus(
-                        BusRequest {
-                            w,
-                            r,
-                            k,
-                            phase: BusPhase::Input,
-                            duration: d,
-                        },
-                        t,
-                    );
-                }
-                EventKind::ComputeDone { w, r, k } => {
-                    let (w, r, k) = (w as usize, r as usize, k as usize);
-                    let d = self.timings[w * self.chain + k].stream_s;
-                    self.request_bus(
-                        BusRequest {
-                            w,
-                            r,
-                            k,
-                            phase: BusPhase::Stream,
-                            duration: d,
-                        },
-                        t,
-                    );
-                }
-                EventKind::BusDone { w, r, k, phase } => {
-                    self.release_bus(w as usize, r as usize, k as usize, t);
-                    self.after_bus_phase(w as usize, r as usize, k as usize, phase, t);
+                EventKind::Stage(ev) => {
+                    let done =
+                        self.chain
+                            .handle(ev, t, &self.timings, &mut self.queue, &mut *self.probe);
+                    if let Some(done) = done {
+                        let w = done.job.tenant as usize;
+                        if done.k + 1 < self.workloads[w].stages() {
+                            self.join(done.job, done.k + 1, t);
+                        } else {
+                            self.complete_request(w, done.job.slot as usize, t);
+                        }
+                    }
                 }
             }
             // Safe point: the event is fully dispatched, so a debugger
@@ -961,186 +839,9 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
         self.finalize()
     }
 
-    fn join_device(&mut self, w: usize, r: usize, k: usize, t: f64) {
-        if self.devices[k].busy {
-            self.devices[k].queue.push_back((w, r));
-        } else {
-            self.seize_device(w, r, k, t);
-        }
-    }
-
-    fn seize_device(&mut self, w: usize, r: usize, k: usize, t: f64) {
-        self.devices[k].busy = true;
-        if self.cfg.record_trace {
-            self.devices[k].open = Some((w, r, k, t));
-        }
-        if P::ENABLED {
-            self.probe.record(
-                t,
-                &ProbeEvent::Acquire {
-                    chain: 0,
-                    resource: ResourceId::Device(k),
-                    tenant: w as u32,
-                    request: r as u32,
-                    stage: k as u16,
-                },
-            );
-        }
-        let timing = self.timings[w * self.chain + k];
-        let (ew, er, ek) = (w as u32, r as u32, k as u16);
-        if self.cfg.contended_bus {
-            self.push(
-                t + timing.host_s,
-                EventKind::HostDone {
-                    w: ew,
-                    r: er,
-                    k: ek,
-                },
-            );
-        } else {
-            self.push(
-                t + timing.hold_s,
-                EventKind::StageDone {
-                    w: ew,
-                    r: er,
-                    k: ek,
-                },
-            );
-        }
-    }
-
-    /// Zero-length transfers skip the bus entirely (no transfer is
-    /// issued, matching `usb::transfer_time(_, 0) == 0`).
-    fn request_bus(&mut self, req: BusRequest, t: f64) {
-        if req.duration == 0.0 {
-            self.after_bus_phase(req.w, req.r, req.k, req.phase, t);
-        } else if self.bus.busy {
-            self.bus.queue.push_back(req);
-        } else {
-            self.grant_bus(req, t);
-        }
-    }
-
-    fn grant_bus(&mut self, req: BusRequest, t: f64) {
-        self.bus.busy = true;
-        self.bus.busy_s += req.duration;
-        if self.cfg.record_trace {
-            self.bus.open = Some((req.w, req.r, req.k, t));
-        }
-        if P::ENABLED {
-            self.probe.record(
-                t,
-                &ProbeEvent::Acquire {
-                    chain: 0,
-                    resource: ResourceId::Bus,
-                    tenant: req.w as u32,
-                    request: req.r as u32,
-                    stage: req.k as u16,
-                },
-            );
-        }
-        self.push(
-            t + req.duration,
-            EventKind::BusDone {
-                w: req.w as u32,
-                r: req.r as u32,
-                k: req.k as u16,
-                phase: req.phase,
-            },
-        );
-    }
-
-    fn release_bus(&mut self, w: usize, r: usize, k: usize, t: f64) {
-        self.bus.busy = false;
-        if let Some((tw, tr, tk, start)) = self.bus.open.take() {
-            self.trace.push(TraceSpan {
-                resource: ResourceId::Bus,
-                tenant: tw,
-                request: tr,
-                stage: tk,
-                start_s: start,
-                end_s: t,
-            });
-        }
-        if P::ENABLED {
-            self.probe.record(
-                t,
-                &ProbeEvent::Release {
-                    chain: 0,
-                    resource: ResourceId::Bus,
-                    tenant: w as u32,
-                    request: r as u32,
-                    stage: k as u16,
-                },
-            );
-        }
-        if let Some(next) = self.bus.queue.pop_front() {
-            self.grant_bus(next, t);
-        }
-    }
-
-    fn after_bus_phase(&mut self, w: usize, r: usize, k: usize, phase: BusPhase, t: f64) {
-        match phase {
-            BusPhase::Input => {
-                let d = self.timings[w * self.chain + k].compute_s;
-                self.push(
-                    t + d,
-                    EventKind::ComputeDone {
-                        w: w as u32,
-                        r: r as u32,
-                        k: k as u16,
-                    },
-                );
-            }
-            BusPhase::Stream => {
-                let d = self.timings[w * self.chain + k].output_s;
-                self.request_bus(
-                    BusRequest {
-                        w,
-                        r,
-                        k,
-                        phase: BusPhase::Output,
-                        duration: d,
-                    },
-                    t,
-                );
-            }
-            BusPhase::Output => self.finish_stage(w, r, k, t),
-        }
-    }
-
-    fn finish_stage(&mut self, w: usize, r: usize, k: usize, t: f64) {
-        self.devices[k].busy = false;
-        if let Some((tw, tr, tk, start)) = self.devices[k].open.take() {
-            self.trace.push(TraceSpan {
-                resource: ResourceId::Device(k),
-                tenant: tw,
-                request: tr,
-                stage: tk,
-                start_s: start,
-                end_s: t,
-            });
-        }
-        if P::ENABLED {
-            self.probe.record(
-                t,
-                &ProbeEvent::Release {
-                    chain: 0,
-                    resource: ResourceId::Device(k),
-                    tenant: w as u32,
-                    request: r as u32,
-                    stage: k as u16,
-                },
-            );
-        }
-        if let Some((nw, nr)) = self.devices[k].queue.pop_front() {
-            self.seize_device(nw, nr, k, t);
-        }
-        if k + 1 < self.workloads[w].stages() {
-            self.join_device(w, r, k + 1, t);
-        } else {
-            self.complete_request(w, r, t);
-        }
+    fn join(&mut self, job: JobId, k: usize, t: f64) {
+        self.chain
+            .join(job, k, t, &self.timings, &mut self.queue, &mut *self.probe);
     }
 
     /// Streams one completion into the tenant's scalar accumulators —
@@ -1222,9 +923,8 @@ impl<'a, Q: EventQueue<EventKind>, P: Probe> Engine<'a, Q, P> {
         SimReport {
             tenants: reports,
             makespan_s: self.now,
-            bus_busy_s: self.bus.busy_s,
+            bus_busy_s: self.chain.bus_busy_s(),
             events: self.events,
-            trace: self.trace.into_vec(),
         }
     }
 }
@@ -1262,19 +962,8 @@ impl<Q, P> EngineInspect for Engine<'_, Q, P> {
                 backlog,
                 drain_estimate_s: 0.0,
                 busy_s: 0.0,
-                bus: self.cfg.contended_bus.then(|| BusSnapshot {
-                    busy: self.bus.busy,
-                    queued: self.bus.queue.len(),
-                    busy_s: self.bus.busy_s,
-                }),
-                devices: self
-                    .devices
-                    .iter()
-                    .map(|d| DeviceSnapshot {
-                        busy: d.busy,
-                        queued: d.queue.len(),
-                    })
-                    .collect(),
+                bus: self.chain.bus_snapshot(),
+                devices: self.chain.device_snapshots(),
                 tenants,
             }],
         }
@@ -1289,7 +978,8 @@ impl<Q, P> EngineInspect for Engine<'_, Q, P> {
 ///
 /// Returns a [`SimError`] if any workload is degenerate (zero requests,
 /// zero batch, empty pipeline, bad rate, warm-up swallowing the whole
-/// stream), if no workloads are supplied, or if the tenant, per-tenant
+/// stream), if no workloads are supplied, if `spec` is degenerate (see
+/// [`DeviceSpec::validate`]), or if the tenant, per-tenant
 /// request or stage count exceeds the packed event fields (`u32`, `u32`,
 /// `u16`). Nothing is simulated on error.
 pub fn run(
@@ -1350,6 +1040,7 @@ fn run_views<P: Probe>(
     if workloads.is_empty() {
         return Err(SimError::NoWorkloads);
     }
+    spec.validate()?;
     limit("tenants", workloads.len(), u32::MAX as usize)?;
     for wl in workloads {
         if wl.requests == 0 {
@@ -1393,6 +1084,7 @@ fn limit(what: &'static str, count: usize, max: usize) -> Result<(), SimError> {
 mod tests {
     use super::*;
     use crate::compile;
+    use crate::probe::SpanProbe;
     use respect_graph::models;
     use respect_sched::{balanced::ParamBalanced, Scheduler};
 
@@ -1572,40 +1264,19 @@ mod tests {
     fn trace_spans_cover_devices_and_bus() {
         let (p, spec) = pipeline(3);
         let wl = Workload::closed_loop(p, 20);
-        let r = run(&[wl], &spec, &SimConfig::contended().with_trace()).unwrap();
-        let device_spans = r
-            .trace
+        let mut probe = SpanProbe::new();
+        run_probed(&[wl], &spec, &SimConfig::contended(), &mut probe).unwrap();
+        let spans = probe.spans();
+        let device_spans = spans
             .iter()
             .filter(|s| matches!(s.resource, ResourceId::Device(_)))
             .count();
         assert_eq!(device_spans, 20 * 3, "one device hold per request-stage");
-        assert!(r.trace.iter().any(|s| s.resource == ResourceId::Bus));
-        for s in &r.trace {
+        assert!(spans.iter().any(|s| s.resource == ResourceId::Bus));
+        for s in spans {
             assert!(s.end_s >= s.start_s);
+            assert_eq!(s.chain, 0);
         }
-    }
-
-    #[test]
-    fn trace_cap_keeps_the_chronological_tail() {
-        let (p, spec) = pipeline(3);
-        let wl = Workload::closed_loop(p, 20);
-        let full = run(
-            std::slice::from_ref(&wl),
-            &spec,
-            &SimConfig::contended().with_trace(),
-        )
-        .unwrap();
-        let capped = run(&[wl], &spec, &SimConfig::contended().with_trace_cap(10)).unwrap();
-        assert_eq!(capped.trace.len(), 10);
-        assert_eq!(
-            capped.trace,
-            full.trace[full.trace.len() - 10..],
-            "ring mode keeps the newest spans, oldest first"
-        );
-        assert_eq!(
-            capped.tenants, full.tenants,
-            "the cap never affects results"
-        );
     }
 
     #[test]
@@ -1762,19 +1433,56 @@ mod tests {
                     .with_warmup(10),
                 Workload::closed_loop(p.clone(), 150),
             ];
-            run(
-                &wls,
-                &spec,
-                &SimConfig::contended()
-                    .with_trace()
-                    .with_completions()
-                    .with_queue(queue),
-            )
-            .unwrap()
+            let cfg = SimConfig::contended().with_completions().with_queue(queue);
+            let mut probe = SpanProbe::new();
+            let report = run_probed(&wls, &spec, &cfg, &mut probe).unwrap();
+            (report, probe.spans().to_vec())
         };
         let heap = mk(QueueKind::BinaryHeap);
         let calendar = mk(QueueKind::Calendar);
+        assert!(!heap.1.is_empty());
         assert_eq!(heap, calendar, "engine results are queue-independent");
+    }
+
+    #[test]
+    fn rejects_degenerate_device_specs() {
+        let (p, coral) = pipeline(4);
+        let wl = [Workload::closed_loop(p, 10)];
+        let cases = [
+            (
+                "host_overhead_s",
+                DeviceSpec {
+                    host_overhead_s: f64::NAN,
+                    ..coral
+                },
+            ),
+            (
+                "usb_overhead_s",
+                DeviceSpec {
+                    usb_overhead_s: -1.0,
+                    ..coral
+                },
+            ),
+            (
+                "macs_per_sec",
+                DeviceSpec {
+                    macs_per_sec: 0.0,
+                    ..coral
+                },
+            ),
+        ];
+        for (name, spec) in cases {
+            for cfg in [SimConfig::uncontended(), SimConfig::contended()] {
+                let plain = run(&wl, &spec, &cfg);
+                let probed = run_probed(&wl, &spec, &cfg, &mut SpanProbe::new());
+                for r in [plain, probed] {
+                    assert!(
+                        matches!(r, Err(SimError::InvalidSpec { field, .. }) if field == name),
+                        "{name}: {r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_sched::Schedule;
+use respect_tpu::probe::SpanProbe;
 use respect_tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
 use respect_tpu::{exec, CompiledPipeline, DeviceSpec, Segment};
 
@@ -89,11 +90,13 @@ proptest! {
         let spec = DeviceSpec::coral();
         let a = Workload::closed_loop(random_pipeline(stages, seed), 40);
         let b = Workload::closed_loop(random_pipeline(stages, seed ^ 0xdead_beef), 40);
-        let report = sim::run(&[a, b], &spec, &SimConfig::contended().with_trace()).unwrap();
+        let mut probe = SpanProbe::new();
+        sim::run_probed(&[a, b], &spec, &SimConfig::contended(), &mut probe).unwrap();
+        let trace = probe.spans();
         // group spans per resource, preserving engine emission order
         let resources: Vec<ResourceId> = {
             let mut seen = Vec::new();
-            for s in &report.trace {
+            for s in trace {
                 if !seen.contains(&s.resource) {
                     seen.push(s.resource);
                 }
@@ -101,7 +104,7 @@ proptest! {
             seen
         };
         for res in resources {
-            let mut spans: Vec<_> = report.trace.iter().filter(|s| s.resource == res).collect();
+            let mut spans: Vec<_> = trace.iter().filter(|s| s.resource == res).collect();
             spans.sort_by(|x, y| x.start_s.total_cmp(&y.start_s));
             for w in spans.windows(2) {
                 prop_assert!(
@@ -113,7 +116,7 @@ proptest! {
             if let ResourceId::Device(_) = res {
                 // per-tenant request order must be preserved (FIFO)
                 for tenant in 0..2 {
-                    let reqs: Vec<usize> = spans
+                    let reqs: Vec<u32> = spans
                         .iter()
                         .filter(|s| s.tenant == tenant)
                         .map(|s| s.request)
@@ -173,10 +176,12 @@ proptest! {
                 Workload::closed_loop(random_pipeline(stages, !seed), 20),
             ]
         };
-        let cfg = SimConfig::contended().with_trace();
-        let a = sim::run(&mk(), &spec, &cfg).unwrap();
-        let b = sim::run(&mk(), &spec, &cfg).unwrap();
-        prop_assert_eq!(a, b);
+        let run = || {
+            let mut probe = SpanProbe::new();
+            let report = sim::run_probed(&mk(), &spec, &SimConfig::contended(), &mut probe).unwrap();
+            (report, probe.spans().to_vec())
+        };
+        prop_assert_eq!(run(), run());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use respect::graph::models;
 use respect::sched::{balanced::ParamBalanced, Scheduler};
+use respect::tpu::probe::SpanProbe;
 use respect::tpu::sim::{self, Arrivals, SimConfig, Workload};
 use respect::tpu::{compile, device::DeviceSpec, CompiledPipeline};
 
@@ -187,20 +188,24 @@ fn mixed_depth_tenants_share_the_chain_prefix() {
     let spec = DeviceSpec::coral();
     let deep = compiled(&models::resnet101(), 4, &spec);
     let shallow = compiled(&models::xception(), 2, &spec);
-    let r = sim::run(
+    let mut probe = SpanProbe::new();
+    let r = sim::run_probed(
         &[
             Workload::closed_loop(deep, 120),
             Workload::closed_loop(shallow, 120),
         ],
         &spec,
-        &SimConfig::contended().with_trace(),
+        &SimConfig::contended(),
+        &mut probe,
     )
     .unwrap();
     assert_eq!(r.tenants[0].inferences, 120);
     assert_eq!(r.tenants[1].inferences, 120);
     // the shallow tenant never touches devices 2..4
     use respect::tpu::sim::ResourceId;
-    assert!(r.trace.iter().filter(|s| s.tenant == 1).all(|s| matches!(
+    let spans = probe.spans();
+    assert!(spans.iter().any(|s| s.tenant == 1));
+    assert!(spans.iter().filter(|s| s.tenant == 1).all(|s| matches!(
         s.resource,
         ResourceId::Bus | ResourceId::Device(0) | ResourceId::Device(1)
     )));
