@@ -29,6 +29,15 @@ fn bench_micro(c: &mut Criterion) {
     c.bench_function("pack_default/resnet50/4", |b| {
         b.iter(|| pack::pack_default(&dag, 4, &model))
     });
+    // the Table I packs where the pruning bound gains most and least
+    for (name, big) in [
+        ("densenet201", models::densenet201()),
+        ("inceptionresnetv2", models::inception_resnet_v2()),
+    ] {
+        c.bench_function(format!("pack_default/{name}/6"), |b| {
+            b.iter(|| pack::pack_default(&big, 6, &model))
+        });
+    }
 
     let synth = SyntheticSampler::new(SyntheticConfig::paper(3), 9).sample();
     let solver = ExactScheduler::new(model).with_warmstart_moves(200);

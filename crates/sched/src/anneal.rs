@@ -82,9 +82,17 @@ impl Scheduler for Annealing {
         if num_stages == 0 {
             return Err(ScheduleError::NoStages);
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
         // Start from the packing-DP solution on the default order.
         let (init, _) = pack::pack_default(dag, num_stages, &self.model);
+        Ok(self.anneal_from(dag, num_stages, &init))
+    }
+}
+
+impl Annealing {
+    /// Anneals from `init`, which must be a packing of
+    /// [`order::default_order`] into `num_stages > 0` stages.
+    pub(crate) fn anneal_from(&self, dag: &Dag, num_stages: usize, init: &Schedule) -> Schedule {
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut sequence = order::default_order(dag);
         let mut cuts = vec![0usize; num_stages - 1];
         {
@@ -99,10 +107,10 @@ impl Scheduler for Annealing {
                 cuts[k] = acc;
             }
         }
-        let mut eval = IncrementalEvaluator::new(dag, self.model, &init);
+        let mut eval = IncrementalEvaluator::new(dag, self.model, init);
 
         let mut cur_obj = eval.bottleneck();
-        let mut best = init;
+        let mut best = init.clone();
         let mut best_obj = cur_obj;
         let mut temp = (cur_obj * self.init_temp_frac).max(f64::MIN_POSITIVE);
 
@@ -209,7 +217,7 @@ impl Scheduler for Annealing {
             self.model.objective(dag, &best).to_bits(),
             "incremental objective drifted from full recomputation"
         );
-        Ok(best)
+        best
     }
 }
 

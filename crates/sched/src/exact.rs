@@ -24,8 +24,8 @@
 //! * on the last stage only the whole residual completes a schedule, so
 //!   it is costed in closed form, one state per boundary;
 //! * the incumbent starts at the packing-DP solution (optionally tightened
-//!   by simulated annealing), so the search only explores strictly
-//!   improving regions.
+//!   by simulated annealing from that packing), so the search only
+//!   explores strictly improving regions.
 //!
 //! The result is provably optimal unless the optional time budget expires,
 //! in which case the incumbent is returned with
@@ -193,7 +193,7 @@ impl ExactScheduler {
         } else if self.warmstart_moves > 0 && num_stages > 1 {
             let annealed = Annealing::new(self.model)
                 .with_iterations(self.warmstart_moves)
-                .schedule(dag, num_stages)?;
+                .anneal_from(dag, num_stages, &best);
             let obj = self.model.objective(dag, &annealed);
             if obj < ub {
                 ub = obj;

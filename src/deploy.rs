@@ -239,10 +239,17 @@ impl<'a> DeploymentBuilder<'a> {
     ///
     /// # Errors
     ///
+    /// [`Error::Sim`] ([`sim::SimError::InvalidSpec`]) when the device or a
+    /// [`DeploymentBuilder::chains`] spec fails [`DeviceSpec::validate`];
     /// [`Error::Registry`] when the partitioner name does not resolve;
     /// [`Error::Schedule`] when scheduling fails (zero stages, solver
     /// budget exhausted) or the schedule does not validate.
     pub fn build(self) -> Result<Deployment, Error> {
+        // the cost model every partitioner reads is derived from the spec
+        self.spec.validate()?;
+        for spec in self.fleet_chains.iter().flatten() {
+            spec.validate()?;
+        }
         let mut options = BuildOptions::default().with_cost_model(self.spec.cost_model());
         if let Some(seed) = self.seed {
             options = options.with_seed(seed);

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use respect::graph::models;
+use respect::sched::registry::{self, BuildOptions};
 use respect::sched::{
     balanced::ParamBalanced, exact::ExactScheduler, greedy::GreedyCost, Scheduler,
 };
@@ -27,12 +28,19 @@ const STAGE_COUNTS: [usize; 3] = [4, 5, 6];
 
 fn schedulers() -> Vec<(&'static str, Box<dyn Scheduler>)> {
     let model = DeviceSpec::coral().cost_model();
-    vec![
+    let mut schedulers: Vec<(&'static str, Box<dyn Scheduler>)> = vec![
         ("balanced", Box::new(ParamBalanced::new())),
         ("greedy", Box::new(GreedyCost::new(model))),
         // un-budgeted exact: provably optimal, hence deterministic
         ("exact", Box::new(ExactScheduler::new(model))),
-    ]
+    ];
+    // the schedulers that pack with ρ, so their rows pin its bits
+    let options = BuildOptions::default().with_cost_model(model);
+    for name in ["hu", "force", "anneal"] {
+        let scheduler = registry::build(name, &options).expect("builtin scheduler");
+        schedulers.push((name, scheduler));
+    }
+    schedulers
 }
 
 fn compute_rows() -> Vec<(String, f64)> {
@@ -125,7 +133,7 @@ fn golden_sanity_exact_dominates_heuristics() {
     for (name, _) in models::table1() {
         for stages in STAGE_COUNTS {
             let exact = lookup(name, "exact", stages);
-            for sched in ["balanced", "greedy"] {
+            for sched in ["balanced", "greedy", "hu", "force", "anneal"] {
                 let h = lookup(name, sched, stages);
                 assert!(
                     exact <= h + 1e-15,

@@ -10,6 +10,7 @@ use respect::sched::registry::RegistryError;
 use respect::sched::ScheduleError;
 use respect::serve::ServeError;
 use respect::tpu::sim::SimError;
+use respect::tpu::DeviceSpec;
 use respect::Error;
 
 /// Display shows a subsystem prefix plus the inner message; source()
@@ -116,4 +117,46 @@ fn failures_surface_as_the_matching_variant() {
         .serve(&[], &respect::serve::ServeConfig::default())
         .unwrap_err();
     assert!(matches!(err, Error::Serve(ServeError::NoTenants)));
+
+    // a degenerate device is rejected before its cost model schedules
+    let coral = DeviceSpec::coral();
+    let degenerate = [
+        DeviceSpec {
+            macs_per_sec: 0.0,
+            ..coral
+        },
+        DeviceSpec {
+            usb_bytes_per_sec: 0.0,
+            ..coral
+        },
+        DeviceSpec {
+            macs_per_sec: f64::NAN,
+            ..coral
+        },
+        DeviceSpec {
+            usb_bytes_per_sec: -1.0,
+            ..coral
+        },
+    ];
+    for spec in degenerate {
+        for partitioner in ["exact", "anneal", "hu", "param-balanced"] {
+            let err = Deployment::of(&dag)
+                .device(spec)
+                .partitioner(partitioner)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Sim(SimError::InvalidSpec { .. })),
+                "{partitioner} on {spec:?}: {err}"
+            );
+        }
+        let err = Deployment::of(&dag)
+            .chains(&[coral, spec])
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Sim(SimError::InvalidSpec { .. })),
+            "chain {spec:?}: {err}"
+        );
+    }
 }
