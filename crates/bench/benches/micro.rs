@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use respect_bench::{bench_policy, PolicyScale};
 use respect_core::embedding::{embed, EmbeddingConfig};
-use respect_core::DecodeMode;
+use respect_core::{DecodeMode, PolicyConfig, PtrNetPolicy};
 use respect_graph::{models, SyntheticConfig, SyntheticSampler};
 use respect_sched::exact::ExactScheduler;
 use respect_sched::Scheduler;
@@ -24,6 +24,15 @@ fn bench_micro(c: &mut Criterion) {
     let feats = embed(&dag, &policy.config().embedding);
     c.bench_function("decode/resnet50", |b| {
         b.iter(|| policy.decode(&dag, &feats, &mut DecodeMode::Greedy))
+    });
+    // DenseNet-201 at the benchmark's h = 32: its depth is |V| - 1, so
+    // every step has one candidate and the row times the LSTM alone;
+    // untrained weights run the same kernel, so nothing is trained
+    let untrained = PtrNetPolicy::new(PolicyConfig::small(32));
+    let densenet = models::densenet201();
+    let dense_feats = embed(&densenet, &untrained.config().embedding);
+    c.bench_function("decode/densenet201/h32", |b| {
+        b.iter(|| untrained.decode(&densenet, &dense_feats, &mut DecodeMode::Greedy))
     });
 
     c.bench_function("pack_default/resnet50/4", |b| {

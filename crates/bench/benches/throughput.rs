@@ -1,12 +1,16 @@
 //! Throughput benchmarks of the two hottest loops in the codebase:
 //!
 //! * **training rollouts** — serial per-graph decoding (32 one-graph
-//!   `rollout_batch` / `decode_batch` calls, one tape op per LSTM/attention
-//!   step per graph) vs. one batched call (one op per step for the whole
-//!   minibatch), forward only at h = 64. Reported per full batch; divide
-//!   the batch size by the time per iteration for graphs/sec. One more row
-//!   times a whole training step's tape work, `rollout_batch` plus
-//!   `backward`, on 16 graphs at h = 32 (the `perfbench` `train` shape).
+//!   `rollout` calls, one tape op per LSTM/attention step per graph) vs.
+//!   one `rollout_batch` call (one op per step for the whole minibatch),
+//!   forward only at h = 64. Reported per full batch; divide the batch
+//!   size by the time per iteration for graphs/sec. One more row times a
+//!   whole training step's tape work, `rollout_batch` plus `backward`, on
+//!   16 graphs at h = 32 (the `perfbench` `train` shape).
+//! * **gradient-free decode** — the same 32 graphs decoded greedily by 32
+//!   `decode` calls and by one `decode_batch` call. Both run the same
+//!   per-graph kernel, so the rows differ only in how often the weights
+//!   are laid out (once per call).
 //! * **local-search cost evaluation** — full `stage_costs` re-aggregation
 //!   per proposed move vs. the `IncrementalEvaluator`'s
 //!   `O(deg(v) + k)` update, over an identical scripted move sequence.

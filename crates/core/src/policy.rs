@@ -25,6 +25,14 @@
 //! ascending id order: a masked node has exactly zero probability and zero
 //! gradient, so results equal those of a dense kernel that scores every
 //! node and masks afterwards, bit for bit.
+//!
+//! The tape path runs a batch in lock step, one op per step for all
+//! graphs. The gradient-free path is one per-graph kernel for every batch
+//! size: the LSTM gate weights and both heads' query weights are laid out
+//! input-major once per call ([`LstmKernel`], [`Affine`]), each step
+//! reuses its lane's buffers instead of allocating, and a step with a
+//! single candidate skips both heads. Every sum keeps its order, so the
+//! sequences are those of the tape's forward values.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +40,9 @@ use serde::{Deserialize, Serialize};
 
 use respect_graph::{Dag, NodeId};
 use respect_nn::attention::AttentionSpec;
-use respect_nn::lstm::LstmSpec;
+use respect_nn::lstm::{LstmKernel, LstmSpec};
 use respect_nn::tape::{Tape, Var};
+use respect_nn::tensor::Affine;
 use respect_nn::{init, Bindings, Matrix, Params};
 
 use crate::embedding::EmbeddingConfig;
@@ -142,8 +151,8 @@ impl PtrNetPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `params` is missing any registered weight (checked on
-    /// first use).
+    /// Panics if `params` is missing any registered weight or holds one
+    /// of another shape (checked on first use).
     pub fn from_parts(config: PolicyConfig, params: Params) -> Self {
         PtrNetPolicy { config, params }
     }
@@ -161,10 +170,6 @@ impl PtrNetPolicy {
     /// Mutable access for optimizers.
     pub fn params_mut(&mut self) -> &mut Params {
         &mut self.params
-    }
-
-    fn mask_init(&self, dag: &Dag) -> MaskState {
-        MaskState::new(dag, self.config.dependency_masking)
     }
 
     /// Binds the policy's parameters onto a tape. Bind **once** per tape
@@ -278,7 +283,10 @@ impl PtrNetPolicy {
 
         // decode with pointing, one batched step per output position;
         // attention runs over the gathered candidate block only
-        let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
+        let mut masks: Vec<MaskState> = items
+            .iter()
+            .map(|(dag, _)| MaskState::new(dag, self.config.dependency_masking))
+            .collect();
         let dec0 = bindings.var("dec0");
         let mut d = tape.concat_cols(&vec![dec0; b]); // [h, B]
         let mut state = enc_last;
@@ -310,8 +318,8 @@ impl PtrNetPolicy {
             let mut next_cols = Vec::with_capacity(b);
             for (g, (mode, mask)) in modes.iter_mut().zip(&mut masks).enumerate() {
                 let cands = mask.candidates();
-                let logits = (0..cands.len()).map(|j| lv.get(j, g)).collect();
-                let j = choose(mode, logits, exp_in_place);
+                let mut logits: Vec<f32> = (0..cands.len()).map(|j| lv.get(j, g)).collect();
+                let j = choose(mode, &mut logits, exp_in_place);
                 let v = NodeId(cands[j] as u32);
                 picks.push(j);
                 next_cols.push(g * n + v.index());
@@ -337,120 +345,145 @@ impl PtrNetPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `features` does not match `dag` and the embedding config.
+    /// Panics if `features` does not match `dag` and the embedding config,
+    /// or a weight is missing or mis-shaped.
     pub fn decode(&self, dag: &Dag, features: &Matrix, mode: &mut DecodeMode) -> Vec<NodeId> {
         self.decode_batch(&[(dag, features)], std::slice::from_mut(mode))
             .pop()
             .expect("one sequence per graph")
     }
 
-    /// Gradient-free **batched** decode: `B` equal-sized graphs run the
-    /// encoder and decoder LSTMs in lock step, one kernel call per step.
-    /// Glimpse and pointer attention score only each graph's unmasked
-    /// candidates (on average about one node per step of a Table I graph
-    /// under dependency masking), in ascending id order from `0.0`, so the
-    /// sequences equal those of a dense kernel that scores every node and
-    /// masks afterwards, bit for bit: every term it adds for a masked node
-    /// is an exact `±0`. Per-graph results match `B` one-graph calls with
-    /// the same modes; use this for deployment-time throughput and for the
-    /// greedy-rollout baseline during training.
+    /// Gradient-free **batched** decode: one per-graph kernel, with the
+    /// policy's weights checked and laid out input-major once per call,
+    /// decodes each graph in turn with its own mode, so per-graph results
+    /// equal `B` one-graph calls with the same modes. Glimpse and pointer
+    /// attention score only each graph's unmasked candidates (on average
+    /// about one node per step of a Table I graph under dependency
+    /// masking), in ascending id order from `0.0`, so the sequences equal
+    /// those of a dense kernel that scores every node and masks
+    /// afterwards, bit for bit: every term it adds for a masked node is an
+    /// exact `±0`. A step with a single candidate skips both heads, since
+    /// greedy and sampled choice alike must take it; sampling still draws
+    /// its one number, so the stream stays in step. Use this for
+    /// deployment and for the greedy-rollout baseline during training.
     ///
     /// # Panics
     ///
-    /// Panics if `items` is empty, graphs differ in node count, feature
-    /// matrices do not match the embedding config, or
-    /// `modes.len() != items.len()`.
+    /// Panics if `items` is empty, feature matrices do not match their
+    /// graph and the embedding config, `modes.len() != items.len()`, or a
+    /// weight is missing or mis-shaped.
     pub fn decode_batch(
         &self,
         items: &[(&Dag, &Matrix)],
         modes: &mut [DecodeMode],
     ) -> Vec<Vec<NodeId>> {
-        let b = items.len();
-        assert!(b > 0, "batch must be nonempty");
-        assert_eq!(modes.len(), b, "one decode mode per graph");
-        let n = items[0].0.len();
+        assert!(!items.is_empty(), "batch must be nonempty");
+        assert_eq!(modes.len(), items.len(), "one decode mode per graph");
         let feat = self.config.embedding.feature_dim();
         for (dag, features) in items {
-            assert_eq!(dag.len(), n, "batched graphs must be equal-sized");
-            assert_eq!(features.shape(), (feat, n), "feature matrix shape");
+            assert_eq!(features.shape(), (feat, dag.len()), "feature matrix shape");
         }
-        let h = self.config.hidden;
-        let p = |name: &str| self.params.get(name).expect("registered weight");
-        let (w_enc, b_enc, w_dec, b_dec) = (p("enc.w"), p("enc.b"), p("dec.w"), p("dec.b"));
+        let kernel = DecodeKernel::new(self);
+        items
+            .iter()
+            .zip(modes)
+            .map(|(&(dag, features), mode)| kernel.decode(dag, features, mode))
+            .collect()
+    }
+}
 
-        let mut stacked = Matrix::zeros(feat, b * n);
-        for (g, (_, features)) in items.iter().enumerate() {
-            for r in 0..feat {
-                for i in 0..n {
-                    stacked.set(r, g * n + i, features.get(r, i));
-                }
-            }
-        }
-        let proj = p("proj.w").matmul(&stacked); // [h, B*n]
+/// The gradient-free decode of one graph, with the policy's weights
+/// checked against its configuration and laid out once: the LSTM gate
+/// weights and both heads' query weights input-major (see
+/// [`Affine`]), so each step's products vectorise over independent
+/// outputs without changing a sum's order.
+struct DecodeKernel<'a> {
+    hidden: usize,
+    dependency_masking: bool,
+    proj_w: &'a Matrix,
+    enc: LstmKernel,
+    dec: LstmKernel,
+    glimpse: RawHead<'a>,
+    pointer: RawHead<'a>,
+    dec0: &'a [f32],
+}
 
-        // encoder, all graphs in lock step
-        let mut hx = Matrix::zeros(h, b);
-        let mut cx = Matrix::zeros(h, b);
-        let mut context = Matrix::zeros(h, b * n);
-        for t in 0..n {
-            let cols: Vec<usize> = (0..b).map(|g| g * n + t).collect();
-            let x = proj.gather_cols(&cols);
-            let (nh, nc) = lstm_step_raw(w_enc, b_enc, &x, &hx, &cx, h);
-            for g in 0..b {
-                for r in 0..h {
-                    context.set(r, g * n + t, nh.get(r, g));
-                }
-            }
-            hx = nh;
-            cx = nc;
+impl<'a> DecodeKernel<'a> {
+    fn new(policy: &'a PtrNetPolicy) -> Self {
+        let params = &policy.params;
+        let h = policy.config.hidden;
+        let feat = policy.config.embedding.feature_dim();
+        DecodeKernel {
+            hidden: h,
+            dependency_masking: policy.config.dependency_masking,
+            proj_w: params.shaped("proj.w", (h, feat)),
+            enc: LstmSpec::new("enc", h, h).kernel(params),
+            dec: LstmSpec::new("dec", h, h).kernel(params),
+            glimpse: RawHead::new(params, "glimpse", h),
+            pointer: RawHead::new(params, "pointer", h),
+            dec0: params.shaped("dec0", (h, 1)).as_slice(),
         }
-        let glimpse = RawHead::new(&self.params, "glimpse", &context);
-        let pointer = RawHead::new(&self.params, "pointer", &context);
-        let context = context.transpose(); // node-major: row g*n + i
+    }
 
-        // decoder
-        let mut masks: Vec<MaskState> = items.iter().map(|(dag, _)| self.mask_init(dag)).collect();
-        let dec0 = p("dec0");
-        let mut d = Matrix::zeros(h, b);
-        for g in 0..b {
-            for r in 0..h {
-                d.set(r, g, dec0.get(r, 0));
-            }
+    fn decode(&self, dag: &Dag, features: &Matrix, mode: &mut DecodeMode) -> Vec<NodeId> {
+        let (n, h) = (dag.len(), self.hidden);
+        // node-major: row i is node i's projected embedding
+        let proj = self.proj_w.matmul(features).transpose();
+
+        // encoder; context row i is the hidden state after node i
+        let mut lane = self.enc.lane();
+        let mut context = Matrix::zeros(n, h);
+        for i in 0..n {
+            self.enc.step(&mut lane, proj.row(i));
+            context.as_mut_slice()[i * h..(i + 1) * h].copy_from_slice(lane.h());
         }
-        let mut sequences = vec![Vec::with_capacity(n); b];
+        let context_t = context.transpose();
+        let glimpse_refs = self.glimpse.project(&context_t);
+        let pointer_refs = self.pointer.project(&context_t);
+
+        // decoder, continuing from the encoder's final state
+        let mut mask = MaskState::new(dag, self.dependency_masking);
+        let mut query = vec![0.0f32; h];
+        let mut readout = vec![0.0f32; h];
+        let mut logits = Vec::with_capacity(n);
+        let mut sequence = Vec::with_capacity(n);
+        let mut d = self.dec0;
         for _ in 0..n {
-            let (nh, nc) = lstm_step_raw(w_dec, b_dec, &d, &hx, &cx, h);
-            hx = nh;
-            cx = nc;
-            // glimpse: the softmax-weighted sum of the candidates' contexts
-            let gq = glimpse.queries(&hx);
-            let mut gl = vec![0.0f32; b * h]; // lane-major
-            for (g, mask) in masks.iter().enumerate() {
-                let cands = mask.candidates();
-                let mut probs = glimpse.scores(g * n, cands, &gq[g * h..(g + 1) * h]);
-                softmax(&mut probs);
-                let out = &mut gl[g * h..(g + 1) * h];
-                for (&i, &pr) in cands.iter().zip(&probs) {
-                    let row = &context.as_slice()[(g * n + i) * h..(g * n + i + 1) * h];
-                    for (a, &c) in out.iter_mut().zip(row) {
+            self.dec.step(&mut lane, d);
+            let cands = mask.candidates();
+            let j = if cands.len() == 1 {
+                // forced: greedy takes the only candidate whatever its
+                // logit, and a draw lands on it whatever it is, even under
+                // NaN logits; the draw is still made, as `choose` would,
+                // so every later draw reads the same stream
+                if let DecodeMode::Sample(rng) = mode {
+                    let _ = rng.gen_range(0.0..1.0f32);
+                }
+                0
+            } else {
+                // glimpse: the softmax-weighted sum of the candidates' contexts
+                self.glimpse.query.apply(lane.h(), &mut query);
+                self.glimpse
+                    .scores(&glimpse_refs, cands, &query, &mut logits);
+                softmax(&mut logits);
+                readout.fill(0.0);
+                for (&i, &pr) in cands.iter().zip(&logits) {
+                    for (a, &c) in readout.iter_mut().zip(context.row(i)) {
                         *a += c * pr;
                     }
                 }
-            }
-            // pointer
-            let pq = pointer.queries(&Matrix::from_vec(b, h, gl).transpose());
-            let mut next_cols = Vec::with_capacity(b);
-            for (g, mode) in modes.iter_mut().enumerate() {
-                let cands = masks[g].candidates();
-                let u = pointer.scores(g * n, cands, &pq[g * h..(g + 1) * h]);
-                let v = NodeId(cands[choose(mode, u, softmax)] as u32);
-                sequences[g].push(v);
-                masks[g].emit(items[g].0, v);
-                next_cols.push(g * n + v.index());
-            }
-            d = proj.gather_cols(&next_cols);
+                // pointer
+                self.pointer.query.apply(&readout, &mut query);
+                self.pointer
+                    .scores(&pointer_refs, cands, &query, &mut logits);
+                choose(mode, &mut logits, softmax)
+            };
+            let v = NodeId(cands[j] as u32);
+            sequence.push(v);
+            mask.emit(dag, v);
+            d = proj.row(v.index());
         }
-        sequences
+        sequence
     }
 }
 
@@ -500,105 +533,42 @@ impl MaskState {
     }
 }
 
-/// One raw LSTM step over `B` lanes (`x`, `h`, `c` are `[·, B]`; the bias
-/// broadcasts per column). With `B = 1` this is the serial decode step.
-fn lstm_step_raw(
-    w: &Matrix,
-    b: &Matrix,
-    x: &Matrix,
-    h: &Matrix,
-    c: &Matrix,
-    hidden: usize,
-) -> (Matrix, Matrix) {
-    let cols = x.cols();
-    let mut xin = Matrix::zeros(x.rows() + h.rows(), cols);
-    for r in 0..x.rows() {
-        for cc in 0..cols {
-            xin.set(r, cc, x.get(r, cc));
-        }
-    }
-    for r in 0..h.rows() {
-        for cc in 0..cols {
-            xin.set(x.rows() + r, cc, h.get(r, cc));
-        }
-    }
-    let mut z = w.matmul(&xin);
-    for r in 0..z.rows() {
-        let bv = b.get(r, 0);
-        for cc in 0..cols {
-            z.set(r, cc, z.get(r, cc) + bv);
-        }
-    }
-    let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
-    let mut nh = Matrix::zeros(hidden, cols);
-    let mut nc = Matrix::zeros(hidden, cols);
-    for r in 0..hidden {
-        for cc in 0..cols {
-            let i = sig(z.get(r, cc));
-            let f = sig(z.get(hidden + r, cc));
-            let g = z.get(2 * hidden + r, cc).tanh();
-            let o = sig(z.get(3 * hidden + r, cc));
-            let cv = f * c.get(r, cc) + i * g;
-            nc.set(r, cc, cv);
-            nh.set(r, cc, o * cv.tanh());
-        }
-    }
-    (nh, nc)
-}
-
-/// One additive-attention head for the gradient-free decode. The
-/// projected context `W_ref C` is stored node-major (row `g*n + i` is node
-/// `i` of graph `g`), so a candidate's `h` values are contiguous.
+/// One additive-attention head for the gradient-free decode: its query
+/// map `W_q q + b` laid out input-major, and the weights that score
+/// candidates against a graph's projected context.
 struct RawHead<'a> {
-    w_q: &'a Matrix,
+    w_ref: &'a Matrix,
+    query: Affine,
     v: &'a [f32],
-    b: &'a Matrix,
-    refs: Matrix,
 }
 
 impl<'a> RawHead<'a> {
-    fn new(params: &'a Params, name: &str, context: &Matrix) -> Self {
-        let p = |w: &str| {
-            params
-                .get(&format!("{name}.{w}"))
-                .expect("registered weight")
-        };
+    fn new(params: &'a Params, name: &str, h: usize) -> Self {
+        let p = |w: &str, shape| params.shaped(&format!("{name}.{w}"), shape);
         RawHead {
-            w_q: p("w_q"),
-            v: p("v").as_slice(),
-            b: p("b"),
-            refs: p("w_ref").matmul(context).transpose(),
+            w_ref: p("w_ref", (h, h)),
+            query: Affine::new(p("w_q", (h, h)), p("b", (h, 1))),
+            v: p("v", (h, 1)).as_slice(),
         }
     }
 
-    /// Queries `W_q q + b` for the `[h, B]` lanes `q`, lane-major.
-    fn queries(&self, q: &Matrix) -> Vec<f32> {
-        let mut qp = self.w_q.matmul(q);
-        for r in 0..qp.rows() {
-            let bv = self.b.get(r, 0);
-            for g in 0..qp.cols() {
-                qp.set(r, g, qp.get(r, g) + bv);
+    /// The projected context `W_ref C` of one graph (`context_t` is
+    /// `[h, n]`), node-major so a candidate's `h` values are contiguous.
+    fn project(&self, context_t: &Matrix) -> Matrix {
+        self.w_ref.matmul(context_t).transpose()
+    }
+
+    /// Scores `vᵀ tanh(W_ref C_i + q)` of the candidates `cands` into
+    /// `out`, each summed over `r` from `0.0`.
+    fn scores(&self, refs: &Matrix, cands: &[usize], q: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(cands.iter().map(|&i| {
+            let mut acc = 0.0f32;
+            for ((&p, &qr), &vr) in refs.row(i).iter().zip(q).zip(self.v) {
+                acc += vr * (p + qr).tanh();
             }
-        }
-        qp.transpose().into_vec()
-    }
-
-    /// Scores `vᵀ tanh(W_ref C_i + q)` of the candidates `cands` of the
-    /// graph whose rows start at `base`, each summed over `r` from `0.0`.
-    fn scores(&self, base: usize, cands: &[usize], q: &[f32]) -> Vec<f32> {
-        let h = q.len();
-        let refs = self.refs.as_slice();
-        cands
-            .iter()
-            .map(|&i| {
-                let mut acc = 0.0f32;
-                let row = &refs[(base + i) * h..(base + i + 1) * h];
-                for ((&p, &qr), &vr) in row.iter().zip(q).zip(self.v) {
-                    acc += vr * (p + qr).tanh();
-                }
-                acc
-            })
-            .collect()
+            acc
+        }));
     }
 }
 
@@ -625,13 +595,13 @@ fn exp_in_place(xs: &mut [f32]) {
 /// id order: the first highest logit when greedy, else a draw in
 /// proportion to `to_probs(logits)`. In id order this is a dense masked
 /// scan's choice.
-fn choose(mode: &mut DecodeMode, mut logits: Vec<f32>, to_probs: fn(&mut [f32])) -> usize {
+fn choose(mode: &mut DecodeMode, logits: &mut [f32], to_probs: fn(&mut [f32])) -> usize {
     match mode {
         DecodeMode::Greedy => {
             (1..logits.len()).fold(0, |best, j| if logits[j] > logits[best] { j } else { best })
         }
         DecodeMode::Sample(rng) => {
-            to_probs(&mut logits);
+            to_probs(logits);
             let total: f32 = logits.iter().sum();
             let mut r = rng.gen_range(0.0..1.0f32) * total;
             logits
@@ -837,6 +807,38 @@ mod tests {
         let g = bindings.grads(&tape);
         let total: f32 = g.iter().map(|m| m.max_abs()).sum();
         assert!(total > 0.0, "gradients must reach the parameters");
+    }
+
+    /// The fixture policy restored with its `name` weight swapped for a
+    /// zero matrix of `shape`.
+    fn misshaped(name: &str, shape: (usize, usize)) -> PtrNetPolicy {
+        let (policy, _, _) = fixture();
+        let mut params = Params::new();
+        for (n, m) in policy.params().iter() {
+            let m = if n == name {
+                Matrix::zeros(shape.0, shape.1)
+            } else {
+                m.clone()
+            };
+            params.insert(n, m);
+        }
+        PtrNetPolicy::from_parts(*policy.config(), params)
+    }
+
+    #[test]
+    #[should_panic(expected = "\"enc.w\" has shape")]
+    fn misshaped_encoder_weights_panic_instead_of_decoding() {
+        let (_, dag, feats) = fixture();
+        // four gate rows too many: the product still runs, but gates
+        // sliced by `hidden` would be read misaligned
+        misshaped("enc.w", (4 * 16 + 4, 2 * 16)).decode(&dag, &feats, &mut DecodeMode::Greedy);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"pointer.w_q\" has shape")]
+    fn misshaped_pointer_query_panics_instead_of_decoding() {
+        let (_, dag, feats) = fixture();
+        misshaped("pointer.w_q", (16, 17)).decode(&dag, &feats, &mut DecodeMode::Greedy);
     }
 
     #[test]

@@ -9,6 +9,17 @@
 //! the same sequences, bit for bit — on the Fig. 5 models, on batches that
 //! mix graphs with different candidate counts, with and without
 //! dependency masking, greedy and sampled.
+//!
+//! The kernel also skips both heads on a step with a single candidate.
+//! Greedy choice takes that candidate whatever its logit; sampled choice
+//! draws exactly one number and takes it too, even when the logits are
+//! NaN. The reference runs both heads at every step and chooses from
+//! their output, so it pins that rule: a forced step that drew no number
+//! would shift every later draw of the stream.
+//!
+//! The reference shares no arithmetic with the code under test: every
+//! product here is its own serial row-dot ([`product`]), not
+//! `Matrix::matmul` and not the kernel's input-major layout.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -27,7 +38,7 @@ fn dense_decode(
     let n = dag.len();
     let h = policy.config().hidden;
     let p = |name: &str| policy.params().get(name).expect("registered weight");
-    let proj = p("proj.w").matmul(features); // [h, n]
+    let proj = product(p("proj.w"), features); // [h, n]
 
     // encoder
     let w_enc = p("enc.w");
@@ -44,8 +55,8 @@ fn dense_decode(
         hx = nh;
         cx = nc;
     }
-    let g_ref = p("glimpse.w_ref").matmul(&context);
-    let p_ref = p("pointer.w_ref").matmul(&context);
+    let g_ref = product(p("glimpse.w_ref"), &context);
+    let p_ref = product(p("pointer.w_ref"), &context);
 
     // decoder
     let w_dec = p("dec.w");
@@ -66,7 +77,7 @@ fn dense_decode(
             &hx,
         );
         let gprobs = masked_softmax(&gu, &mask.masked);
-        let g = context.matmul(&gprobs);
+        let g = product(&context, &gprobs);
         // pointer
         let u = attention_scores(&p_ref, p("pointer.w_q"), p("pointer.v"), p("pointer.b"), &g);
         let idx = match mode {
@@ -122,6 +133,23 @@ impl DenseMask {
     }
 }
 
+/// `W X`, each output `(r, j)` one serial chain that starts at `0.0` and
+/// adds `W[r][p] · X[p][j]` in ascending `p`.
+fn product(w: &Matrix, x: &Matrix) -> Matrix {
+    assert_eq!(w.cols(), x.rows(), "product inner dimension");
+    let mut out = Matrix::zeros(w.rows(), x.cols());
+    for r in 0..w.rows() {
+        for j in 0..x.cols() {
+            let mut acc = 0.0f32;
+            for p in 0..w.cols() {
+                acc += w.get(r, p) * x.get(p, j);
+            }
+            out.set(r, j, acc);
+        }
+    }
+    out
+}
+
 fn column(m: &Matrix, i: usize) -> Matrix {
     let mut out = Matrix::zeros(m.rows(), 1);
     for r in 0..m.rows() {
@@ -146,7 +174,7 @@ fn lstm_step(
     for r in 0..h.rows() {
         xin.set(x.rows() + r, 0, h.get(r, 0));
     }
-    let mut z = w.matmul(&xin);
+    let mut z = product(w, &xin);
     for r in 0..z.rows() {
         z.set(r, 0, z.get(r, 0) + b.get(r, 0));
     }
@@ -175,7 +203,7 @@ fn attention_scores(
     q: &Matrix,
 ) -> Matrix {
     let n = projected.cols();
-    let mut qp = w_q.matmul(q);
+    let mut qp = product(w_q, q);
     for r in 0..qp.rows() {
         qp.set(r, 0, qp.get(r, 0) + b.get(r, 0));
     }

@@ -85,36 +85,10 @@ impl AttentionHead {
         tape.matmul(self.w_ref, context)
     }
 
-    /// Raw attention scores `u ∈ R^{n x 1}` for query `q` against the
-    /// projected context (`n` columns).
-    pub fn scores(&self, tape: &mut Tape, projected: Var, q: Var) -> Var {
-        let qp = tape.matmul(self.w_q, q);
-        let qb = tape.add(qp, self.b);
-        let s = tape.add_col_broadcast(projected, qb);
-        let u = tape.tanh(s);
-        let row = tape.matmul_ta(self.v, u);
-        tape.transpose(row)
-    }
-
-    /// Glimpse: softmax-attend over the (unmasked) context columns and
-    /// return the attention-weighted context vector `C @ softmax(u)`.
-    pub fn glimpse(
-        &self,
-        tape: &mut Tape,
-        context: Var,
-        projected: Var,
-        q: Var,
-        mask: &[bool],
-    ) -> Var {
-        let u = self.scores(tape, projected, q);
-        let p = tape.softmax_masked(u, mask);
-        tape.matmul(context, p)
-    }
-
     /// Batched scores: `projected` stacks `B` projected contexts
     /// graph-major (`[d, B*n]`), `q` holds one query column per graph
-    /// (`[d, B]`); returns `[n, B]` whose column `g` equals
-    /// [`scores`](AttentionHead::scores) on graph `g` alone.
+    /// (`[d, B]`); returns `[n, B]` whose column `g` holds the raw scores
+    /// `u_i = vᵀ tanh(W_ref C_i + W_q q_g + b)` of graph `g` alone.
     pub fn scores_batch(&self, tape: &mut Tape, projected: Var, q: Var, n: usize) -> Var {
         let qp = tape.matmul(self.w_q, q);
         let qb = tape.add_col_broadcast(qp, self.b);
@@ -125,8 +99,9 @@ impl AttentionHead {
     }
 
     /// Batched glimpse over stacked contexts (`context`, `projected` are
-    /// `[d, B*n]`; `masks[g*n + i]` masks node `i` of graph `g`); returns
-    /// `[d, B]` with one refined query column per graph.
+    /// `[d, B*n]`; `masks[g*n + i]` masks node `i` of graph `g`): softmax
+    /// each graph's unmasked scores and return `[d, B]` with one
+    /// attention-weighted context column `C_g softmax(u_g)` per graph.
     pub fn glimpse_batch(
         &self,
         tape: &mut Tape,
@@ -145,6 +120,7 @@ impl AttentionHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::masked_softmax;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -159,6 +135,26 @@ mod tests {
         Matrix::from_vec(d, n, (0..d * n).map(|i| 0.1 * i as f32 - 0.4).collect())
     }
 
+    /// Scores (`[n, 1]`) and glimpse (`[d, 1]`) of one graph, composed
+    /// from unbatched ops: the reference each batch lane must reproduce.
+    fn serial_scores_and_glimpse(
+        head: &AttentionHead,
+        tape: &mut Tape,
+        context: Var,
+        projected: Var,
+        q: Var,
+        mask: &[bool],
+    ) -> (Matrix, Matrix) {
+        let qp = tape.matmul(head.w_q, q);
+        let qb = tape.add(qp, head.b);
+        let s = tape.add_col_broadcast(projected, qb);
+        let u = tape.tanh(s);
+        let row = tape.matmul_ta(head.v, u);
+        let scores = tape.value(row).transpose();
+        let glimpse = tape.value(context).matmul(&masked_softmax(&scores, mask));
+        (scores, glimpse)
+    }
+
     #[test]
     fn scores_shape_is_n_by_one() {
         let (params, spec) = head_fixture(4);
@@ -168,7 +164,7 @@ mod tests {
         let c = tape.leaf(context(4, 6));
         let q = tape.leaf(Matrix::col_from_slice(&[0.1, 0.2, 0.3, 0.4]));
         let proj = head.project_context(&mut tape, c);
-        let u = head.scores(&mut tape, proj, q);
+        let u = head.scores_batch(&mut tape, proj, q, 6);
         assert_eq!(tape.value(u).shape(), (6, 1));
     }
 
@@ -182,7 +178,7 @@ mod tests {
         let c = tape.leaf(cm.clone());
         let q = tape.leaf(Matrix::col_from_slice(&[1.0, -1.0, 0.5]));
         let proj = head.project_context(&mut tape, c);
-        let g = head.glimpse(&mut tape, c, proj, q, &[false; 5]);
+        let g = head.glimpse_batch(&mut tape, c, proj, q, 5, &[false; 5]);
         let gv = tape.value(g);
         assert_eq!(gv.shape(), (3, 1));
         // each coordinate must lie within the min/max of context row
@@ -211,8 +207,8 @@ mod tests {
         let c = tape.leaf(cm);
         let q = tape.leaf(Matrix::col_from_slice(&[0.3, -0.3]));
         let proj = head.project_context(&mut tape, c);
-        let g_all = head.glimpse(&mut tape, c, proj, q, &[false, false, false]);
-        let g_mask = head.glimpse(&mut tape, c, proj, q, &[true, false, false]);
+        let g_all = head.glimpse_batch(&mut tape, c, proj, q, 3, &[false, false, false]);
+        let g_mask = head.glimpse_batch(&mut tape, c, proj, q, 3, &[true, false, false]);
         assert_ne!(tape.value(g_all), tape.value(g_mask));
         // masked glimpse cannot see the huge value
         assert!(tape.value(g_mask).get(0, 0) < 10.0);
@@ -265,19 +261,18 @@ mod tests {
             let cv = t.leaf((*ctx).clone());
             let qv1 = t.leaf(Matrix::col_from_slice(&queries[g]));
             let p1 = h.project_context(&mut t, cv);
-            let u1 = h.scores(&mut t, p1, qv1);
-            let g1 = h.glimpse(&mut t, cv, p1, qv1, &masks[g]);
+            let (u1, g1) = serial_scores_and_glimpse(&h, &mut t, cv, p1, qv1, &masks[g]);
             for i in 0..n {
                 assert_eq!(
                     tape.value(scores).get(i, g).to_bits(),
-                    t.value(u1).get(i, 0).to_bits(),
+                    u1.get(i, 0).to_bits(),
                     "score {i} of graph {g}"
                 );
             }
             for r in 0..3 {
                 assert_eq!(
                     tape.value(glimpse).get(r, g).to_bits(),
-                    t.value(g1).get(r, 0).to_bits(),
+                    g1.get(r, 0).to_bits(),
                     "glimpse row {r} of graph {g}"
                 );
             }
@@ -293,7 +288,7 @@ mod tests {
         let c = tape.leaf(context(3, 4));
         let q = tape.leaf(Matrix::col_from_slice(&[0.2, 0.1, -0.1]));
         let proj = head.project_context(&mut tape, c);
-        let g = head.glimpse(&mut tape, c, proj, q, &[false; 4]);
+        let g = head.glimpse_batch(&mut tape, c, proj, q, 4, &[false; 4]);
         let loss = tape.sum(g);
         tape.backward(loss);
         for name in ["att.w_ref", "att.w_q", "att.v"] {

@@ -8,7 +8,8 @@
 //! * [`tape`] — reverse-mode automatic differentiation on a tape of ops
 //!   (matmul, elementwise nonlinearities, masked softmax/log-softmax,
 //!   slicing/concat for LSTM gates, ...);
-//! * [`lstm`] — LSTM cells with forget-gate bias initialization;
+//! * [`lstm`] — LSTM cells with forget-gate bias initialization, on the
+//!   tape and as a gradient-free step kernel for decode;
 //! * [`attention`] — additive (Bahdanau-style) attention primitives used
 //!   for the glimpse and the pointer head;
 //! * [`params`] — named parameter collections;

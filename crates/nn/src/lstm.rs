@@ -10,7 +10,7 @@ use rand::Rng;
 use crate::init;
 use crate::params::{Bindings, Params};
 use crate::tape::{Tape, Var};
-use crate::tensor::Matrix;
+use crate::tensor::{Affine, Matrix};
 
 /// Static description of an LSTM cell: sizes plus a parameter-name prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,41 +90,6 @@ impl LstmCell {
         self.hidden
     }
 
-    /// All-zero initial state.
-    pub fn zero_state(&self, tape: &mut Tape) -> LstmState {
-        LstmState {
-            h: tape.leaf(Matrix::zeros(self.hidden, 1)),
-            c: tape.leaf(Matrix::zeros(self.hidden, 1)),
-        }
-    }
-
-    /// One step: consumes input column `x`, returns the next state.
-    ///
-    /// # Panics
-    ///
-    /// Panics (inside tape ops) if `x` does not match the spec's input
-    /// size.
-    pub fn step(&self, tape: &mut Tape, x: Var, state: LstmState) -> LstmState {
-        let h = self.hidden;
-        let xin = tape.concat_rows(x, state.h);
-        let z0 = tape.matmul(self.w, xin);
-        let z = tape.add(z0, self.b);
-        let i = tape.slice_rows(z, 0, h);
-        let f = tape.slice_rows(z, h, h);
-        let g = tape.slice_rows(z, 2 * h, h);
-        let o = tape.slice_rows(z, 3 * h, h);
-        let ig = tape.sigmoid(i);
-        let fg = tape.sigmoid(f);
-        let gg = tape.tanh(g);
-        let og = tape.sigmoid(o);
-        let fc = tape.mul_elem(fg, state.c);
-        let igg = tape.mul_elem(ig, gg);
-        let c = tape.add(fc, igg);
-        let ct = tape.tanh(c);
-        let hn = tape.mul_elem(og, ct);
-        LstmState { h: hn, c }
-    }
-
     /// All-zero initial state for a batch of `batch` lanes (`[h, batch]`
     /// state matrices; lane `g` is column `g`).
     pub fn zero_state_batch(&self, tape: &mut Tape, batch: usize) -> LstmState {
@@ -136,8 +101,8 @@ impl LstmCell {
 
     /// One step over a whole batch: `x` and the state are `[·, B]`
     /// matrices with one batch lane per column. Column `g` of the result
-    /// equals a [`step`](LstmCell::step) on column `g` alone (the bias is
-    /// broadcast per column; all other ops are already column-local).
+    /// equals a step on column `g` alone (the bias is broadcast per
+    /// column; all other ops are already column-local).
     ///
     /// # Panics
     ///
@@ -162,17 +127,94 @@ impl LstmCell {
         let hn = tape.mul_elem(og, ct);
         LstmState { h: hn, c }
     }
+}
 
-    /// Runs the cell over a sequence of inputs, returning every hidden
-    /// state and the final state.
-    pub fn run(&self, tape: &mut Tape, inputs: &[Var], init: LstmState) -> (Vec<Var>, LstmState) {
-        let mut state = init;
-        let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            state = self.step(tape, x, state);
-            hs.push(state.h);
+/// The gradient-free form of an LSTM cell, for decode: the fused gate
+/// weights laid out input-major once (see [`Affine`]), then one
+/// allocation-free step per call into an [`LstmLane`]'s buffers. The
+/// gate math is the tape's: `σ(v) = 1/(1 + e^{-v})`, `c' = f·c + i·g`
+/// and `h' = o·tanh(c')`, so a step reproduces
+/// [`LstmCell::step_batch`]'s forward values bit for bit whenever the
+/// inputs are finite.
+#[derive(Debug, Clone)]
+pub struct LstmKernel {
+    input: usize,
+    hidden: usize,
+    gates: Affine,
+}
+
+/// One lane of an [`LstmKernel`]: its hidden and cell state plus the
+/// step's `[x; h]` and gate buffers, reused by every step.
+#[derive(Debug, Clone)]
+pub struct LstmLane {
+    h: Vec<f32>,
+    c: Vec<f32>,
+    xin: Vec<f32>,
+    z: Vec<f32>,
+}
+
+impl LstmLane {
+    /// Hidden state `h`.
+    pub fn h(&self) -> &[f32] {
+        &self.h
+    }
+}
+
+impl LstmSpec {
+    /// The gradient-free kernel over this cell's registered weights,
+    /// whose shapes are checked here, once, rather than at every step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `<name>.w` is not registered as `(4h, in + h)` or
+    /// `<name>.b` as `(4h, 1)`.
+    pub fn kernel(&self, params: &Params) -> LstmKernel {
+        let rows = 4 * self.hidden;
+        let w = params.shaped(&self.w_name(), (rows, self.input + self.hidden));
+        let b = params.shaped(&self.b_name(), (rows, 1));
+        LstmKernel {
+            input: self.input,
+            hidden: self.hidden,
+            gates: Affine::new(w, b),
         }
-        (hs, state)
+    }
+}
+
+impl LstmKernel {
+    /// A lane in the all-zero state.
+    pub fn lane(&self) -> LstmLane {
+        let h = self.hidden;
+        LstmLane {
+            h: vec![0.0; h],
+            c: vec![0.0; h],
+            xin: vec![0.0; self.input + h],
+            z: vec![0.0; 4 * h],
+        }
+    }
+
+    /// One step: consumes input `x` and advances `lane`'s state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not the spec's input size or `lane` came from a
+    /// kernel of another size.
+    pub fn step(&self, lane: &mut LstmLane, x: &[f32]) {
+        let h = self.hidden;
+        assert_eq!(x.len(), self.input, "LSTM input size");
+        lane.xin[..self.input].copy_from_slice(x);
+        lane.xin[self.input..].copy_from_slice(&lane.h);
+        self.gates.apply(&lane.xin, &mut lane.z);
+        let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
+        let z = &lane.z;
+        for r in 0..h {
+            let i = sig(z[r]);
+            let f = sig(z[h + r]);
+            let g = z[2 * h + r].tanh();
+            let o = sig(z[3 * h + r]);
+            let c = f * lane.c[r] + i * g;
+            lane.c[r] = c;
+            lane.h[r] = o * c.tanh();
+        }
     }
 }
 
@@ -187,6 +229,29 @@ mod tests {
         let mut params = Params::new();
         spec.register(&mut params, &mut StdRng::seed_from_u64(3));
         (params, spec)
+    }
+
+    /// One step on a single column, composed from unbatched tape ops:
+    /// the reference each batch lane must reproduce.
+    fn serial_step(cell: &LstmCell, tape: &mut Tape, x: Var, state: LstmState) -> LstmState {
+        let h = cell.hidden;
+        let xin = tape.concat_rows(x, state.h);
+        let z0 = tape.matmul(cell.w, xin);
+        let z = tape.add(z0, cell.b);
+        let i = tape.slice_rows(z, 0, h);
+        let f = tape.slice_rows(z, h, h);
+        let g = tape.slice_rows(z, 2 * h, h);
+        let o = tape.slice_rows(z, 3 * h, h);
+        let ig = tape.sigmoid(i);
+        let fg = tape.sigmoid(f);
+        let gg = tape.tanh(g);
+        let og = tape.sigmoid(o);
+        let fc = tape.mul_elem(fg, state.c);
+        let igg = tape.mul_elem(ig, gg);
+        let c = tape.add(fc, igg);
+        let ct = tape.tanh(c);
+        let hn = tape.mul_elem(og, ct);
+        LstmState { h: hn, c }
     }
 
     #[test]
@@ -208,8 +273,8 @@ mod tests {
         let binds = params.bind(&mut tape);
         let cell = spec.bind(&binds);
         let x = tape.leaf(Matrix::col_from_slice(&[1.0, -2.0, 0.5, 3.0]));
-        let s0 = cell.zero_state(&mut tape);
-        let s1 = cell.step(&mut tape, x, s0);
+        let s0 = cell.zero_state_batch(&mut tape, 1);
+        let s1 = cell.step_batch(&mut tape, x, s0);
         let h = tape.value(s1.h);
         assert_eq!(h.shape(), (6, 1));
         // h = o * tanh(c) is in (-1, 1)
@@ -221,18 +286,16 @@ mod tests {
     #[test]
     fn run_threads_state_through_sequence() {
         let (params, spec) = setup(2, 4);
-        let mut tape = Tape::new();
-        let binds = params.bind(&mut tape);
-        let cell = spec.bind(&binds);
-        let xs: Vec<Var> = (0..3)
-            .map(|i| tape.leaf(Matrix::col_from_slice(&[i as f32, 1.0])))
-            .collect();
-        let s0 = cell.zero_state(&mut tape);
-        let (hs, last) = cell.run(&mut tape, &xs, s0);
-        assert_eq!(hs.len(), 3);
-        assert_eq!(hs[2], last.h);
+        let kernel = spec.kernel(&params);
+        let mut lane = kernel.lane();
+        let mut hs = Vec::new();
+        for i in 0..3 {
+            kernel.step(&mut lane, &[i as f32, 1.0]);
+            hs.push(lane.h().to_vec());
+        }
         // successive hidden states differ (the cell is not a no-op)
-        assert_ne!(tape.value(hs[0]), tape.value(hs[1]));
+        assert_ne!(hs[0], hs[1]);
+        assert_ne!(hs[1], hs[2]);
     }
 
     #[test]
@@ -242,9 +305,9 @@ mod tests {
         let binds = params.bind(&mut tape);
         let cell = spec.bind(&binds);
         let x = tape.leaf(Matrix::col_from_slice(&[0.3, -0.2, 0.9]));
-        let s0 = cell.zero_state(&mut tape);
-        let s1 = cell.step(&mut tape, x, s0);
-        let s2 = cell.step(&mut tape, x, s1);
+        let s0 = cell.zero_state_batch(&mut tape, 1);
+        let s1 = cell.step_batch(&mut tape, x, s0);
+        let s2 = cell.step_batch(&mut tape, x, s1);
         let loss = tape.sum(s2.h);
         tape.backward(loss);
         let gw = tape.grad(binds.var("test.w"));
@@ -285,9 +348,9 @@ mod tests {
             let b = params.bind(&mut t);
             let c = spec.bind(&b);
             let x1 = t.leaf(Matrix::col_from_slice(col));
-            let z0 = c.zero_state(&mut t);
-            let z1 = c.step(&mut t, x1, z0);
-            let z2 = c.step(&mut t, x1, z1);
+            let z0 = c.zero_state_batch(&mut t, 1);
+            let z1 = serial_step(&c, &mut t, x1, z0);
+            let z2 = serial_step(&c, &mut t, x1, z1);
             let serial = t.value(z2.h);
             for r in 0..4 {
                 assert_eq!(
@@ -297,5 +360,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Deterministic values in [-2, 2) from a 64-bit LCG.
+    fn values(count: usize, seed: u64) -> Vec<f32> {
+        let mut s = seed;
+        (0..count)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_steps_match_step_batch_bitwise() {
+        const STEPS: usize = 3;
+        for hidden in [1, 8, 32] {
+            let input = hidden + 2;
+            let (mut params, spec) = setup(input, hidden);
+            // exact-zero weights: the batched tape product (B > 1) skips
+            // every `w == 0.0` term, the kernel adds `0.0 · x`. That is an
+            // exact `±0` and leaves the sum's bits alone only because every
+            // input here is finite; `0.0 · ∞` or `0.0 · NaN` would differ.
+            let w = params.get_mut("test.w").unwrap();
+            for (k, v) in w.as_mut_slice().iter_mut().enumerate() {
+                if k % 7 == 3 {
+                    *v = 0.0;
+                }
+            }
+            for lanes in [1, 3, 16] {
+                // per step, a `[input, lanes]` input block; lane 0 sees an
+                // all-zero input first, and every fifth entry is zero
+                let xs: Vec<Matrix> = (0..STEPS)
+                    .map(|t| {
+                        let mut v = values(input * lanes, (hidden * 100 + lanes * 10 + t) as u64);
+                        for (k, x) in v.iter_mut().enumerate() {
+                            if k % 5 == 1 || (t == 0 && k % lanes == 0) {
+                                *x = 0.0;
+                            }
+                        }
+                        Matrix::from_vec(input, lanes, v)
+                    })
+                    .collect();
+                let mut tape = Tape::new();
+                let binds = params.bind(&mut tape);
+                let cell = spec.bind(&binds);
+                let mut state = cell.zero_state_batch(&mut tape, lanes);
+                let mut tape_states = Vec::new();
+                for x in &xs {
+                    let xv = tape.leaf(x.clone());
+                    state = cell.step_batch(&mut tape, xv, state);
+                    tape_states.push((tape.value(state.h).clone(), tape.value(state.c).clone()));
+                }
+                let kernel = spec.kernel(&params);
+                for g in 0..lanes {
+                    let mut lane = kernel.lane();
+                    for (t, (x, (th, tc))) in xs.iter().zip(&tape_states).enumerate() {
+                        let col: Vec<f32> = (0..input).map(|r| x.get(r, g)).collect();
+                        kernel.step(&mut lane, &col);
+                        for r in 0..hidden {
+                            let at = format!("h={hidden} B={lanes} lane {g} step {t} row {r}");
+                            assert_eq!(lane.h()[r].to_bits(), th.get(r, g).to_bits(), "h, {at}");
+                            assert_eq!(lane.c[r].to_bits(), tc.get(r, g).to_bits(), "c, {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has shape")]
+    fn kernel_rejects_misshaped_weights() {
+        let (params, _) = setup(4, 6);
+        // a cell registered for input 4 read as one for input 3: slicing
+        // its weights by the wrong row length would misalign every gate
+        LstmSpec::new("test", 3, 6).kernel(&params);
     }
 }

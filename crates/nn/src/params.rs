@@ -57,6 +57,24 @@ impl Params {
         self.index.get(name).map(|&i| &self.values[i])
     }
 
+    /// Looks up a parameter that must exist with the given shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not registered or has another shape.
+    pub fn shaped(&self, name: &str, shape: (usize, usize)) -> &Matrix {
+        let m = self
+            .get(name)
+            .unwrap_or_else(|| panic!("parameter {name:?} is not registered"));
+        assert_eq!(
+            m.shape(),
+            shape,
+            "parameter {name:?} has shape {:?}, expected {shape:?}",
+            m.shape()
+        );
+        m
+    }
+
     /// Mutable lookup by name.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Matrix> {
         let i = *self.index.get(name)?;

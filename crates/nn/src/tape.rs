@@ -26,22 +26,16 @@ enum Op {
     MatMul(Var, Var),
     MatMulTA(Var, Var),
     Add(Var, Var),
-    Sub(Var, Var),
     MulElem(Var, Var),
     Scale(Var, f32),
     AddColBroadcast(Var, Var),
     Sigmoid(Var),
     Tanh(Var),
-    Relu(Var),
     ConcatRows(Var, Var),
     ConcatCols(Vec<Var>),
-    SliceCol(Var, usize),
     SliceRows(Var, usize, usize),
     Transpose(Var),
     Sum(Var),
-    SoftmaxMaskedCol(Var, Vec<bool>),
-    LogSoftmaxMaskedCol(Var, Vec<bool>),
-    Pick(Var, usize),
     // batched primitives (one column per batch lane)
     GatherCols(Var, Vec<usize>),
     AddBlockBroadcast(Var, Var, usize),
@@ -133,14 +127,6 @@ impl Tape {
         self.push(v, Op::Add(a, b))
     }
 
-    /// Elementwise `a - b`.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0]
-            .value
-            .zip(&self.nodes[b.0].value, |x, y| x - y);
-        self.push(v, Op::Sub(a, b))
-    }
-
     /// Elementwise `a * b` (Hadamard).
     pub fn mul_elem(&mut self, a: Var, b: Var) -> Var {
         let v = self.nodes[a.0]
@@ -183,12 +169,6 @@ impl Tape {
     pub fn tanh(&mut self, a: Var) -> Var {
         let v = self.nodes[a.0].value.map(f32::tanh);
         self.push(v, Op::Tanh(a))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
-        self.push(v, Op::Relu(a))
     }
 
     /// Stacks `a` on top of `b` (same column count).
@@ -234,22 +214,6 @@ impl Tape {
         self.push(out, Op::ConcatCols(cols.to_vec()))
     }
 
-    /// Column `col` of `a` as a column vector (e.g. extracting one node's
-    /// projected embedding from the `[h, n]` projection matrix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn slice_col(&mut self, a: Var, col: usize) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert!(col < av.cols(), "column out of range");
-        let mut out = Matrix::zeros(av.rows(), 1);
-        for r in 0..av.rows() {
-            out.set(r, 0, av.get(r, col));
-        }
-        self.push(out, Op::SliceCol(a, col))
-    }
-
     /// Rows `start..start + len` of `a` (LSTM gate splitting).
     ///
     /// # Panics
@@ -276,61 +240,14 @@ impl Tape {
         self.push(v, Op::Sum(a))
     }
 
-    /// Masked softmax over a column vector; `mask[i] == true` excludes
-    /// entry `i` (its probability is exactly 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not a column vector of `mask.len()` rows, or if
-    /// every entry is masked.
-    pub fn softmax_masked(&mut self, a: Var, mask: &[bool]) -> Var {
-        let v = masked_softmax(&self.nodes[a.0].value, mask);
-        self.push(v, Op::SoftmaxMaskedCol(a, mask.to_vec()))
-    }
-
-    /// Masked log-softmax over a column vector; masked entries get
-    /// [`NEG_INF_LOGIT`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`softmax_masked`](Tape::softmax_masked).
-    pub fn log_softmax_masked(&mut self, a: Var, mask: &[bool]) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert_eq!(av.cols(), 1, "log_softmax on column vectors");
-        assert_eq!(av.rows(), mask.len(), "mask length");
-        let lse = masked_log_sum_exp(av, mask);
-        let mut out = Matrix::zeros(av.rows(), 1);
-        for (i, &masked) in mask.iter().enumerate() {
-            let y = if masked {
-                NEG_INF_LOGIT
-            } else {
-                av.get(i, 0) - lse
-            };
-            out.set(i, 0, y);
-        }
-        self.push(out, Op::LogSoftmaxMaskedCol(a, mask.to_vec()))
-    }
-
-    /// Element `i` of a column vector, as a `(1, 1)` scalar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not a column vector or `i` is out of range.
-    pub fn pick(&mut self, a: Var, i: usize) -> Var {
-        let av = &self.nodes[a.0].value;
-        assert_eq!(av.cols(), 1, "pick on column vectors");
-        let v = Matrix::from_vec(1, 1, vec![av.get(i, 0)]);
-        self.push(v, Op::Pick(a, i))
-    }
-
     // --- batched primitives ------------------------------------------------
     //
     // These operate on matrices whose columns are batch lanes: a batch of
     // `B` graphs with `n` nodes each is laid out either as `[h, B]` (one
     // state column per graph) or as a graph-major block matrix `[h, B*n]`
-    // (columns `g*n..(g+1)*n` belong to graph `g`). Per-column arithmetic
-    // matches the unbatched ops exactly (same accumulation order), so a
-    // batched decode reproduces the serial decode bit for bit.
+    // (columns `g*n..(g+1)*n` belong to graph `g`). Every column keeps one
+    // graph's accumulation order, so each lane of a batched rollout is bit
+    // for bit a one-graph rollout.
 
     /// Gathers columns `cols[j]` of `a` into a new `[rows, cols.len()]`
     /// matrix (e.g. one node embedding per batch lane); the forward
@@ -390,8 +307,8 @@ impl Tape {
     }
 
     /// Per-column masked softmax over `[n, B]`; `masks[g*n + i]` masks row
-    /// `i` of column `g`. Each column reproduces
-    /// [`softmax_masked`](Tape::softmax_masked) exactly.
+    /// `i` of column `g`, whose probability is then exactly 0. The forward
+    /// kernel is [`masked_softmax_cols`].
     ///
     /// # Panics
     ///
@@ -401,9 +318,8 @@ impl Tape {
         self.push(v, Op::SoftmaxMaskedCols(a, masks.to_vec()))
     }
 
-    /// Per-column masked log-softmax over `[n, B]` (masked entries get
-    /// [`NEG_INF_LOGIT`]); the batched form of
-    /// [`log_softmax_masked`](Tape::log_softmax_masked).
+    /// Per-column masked log-softmax over `[n, B]`; `masks[g*n + i]` masks
+    /// row `i` of column `g`, which then gets [`NEG_INF_LOGIT`].
     ///
     /// # Panics
     ///
@@ -497,11 +413,6 @@ impl Tape {
                     self.grads[a.0].add_assign(&g);
                     self.grads[b.0].add_assign(&g);
                 }
-                Op::Sub(a, b) => {
-                    self.grads[a.0].add_assign(&g);
-                    let neg = g.map(|x| -x);
-                    self.grads[b.0].add_assign(&neg);
-                }
                 Op::MulElem(a, b) => {
                     let da = g.zip(&self.nodes[b.0].value, |x, y| x * y);
                     let db = g.zip(&self.nodes[a.0].value, |x, y| x * y);
@@ -534,11 +445,6 @@ impl Tape {
                     let da = g.zip(y, |gi, yi| gi * (1.0 - yi * yi));
                     self.grads[a.0].add_assign(&da);
                 }
-                Op::Relu(a) => {
-                    let y = &self.nodes[idx].value;
-                    let da = g.zip(y, |gi, yi| if yi > 0.0 { gi } else { 0.0 });
-                    self.grads[a.0].add_assign(&da);
-                }
                 Op::ConcatRows(a, b) => {
                     let ra = self.nodes[a.0].value.rows();
                     let cols = g.cols();
@@ -563,13 +469,6 @@ impl Tape {
                         at += m_cols;
                     }
                 }
-                Op::SliceCol(a, col) => {
-                    let ga = &mut self.grads[a.0];
-                    for r in 0..g.rows() {
-                        let cur = ga.get(r, col);
-                        ga.set(r, col, cur + g.get(r, 0));
-                    }
-                }
                 Op::SliceRows(a, start, len) => {
                     let cols = g.cols();
                     let ga = &mut self.grads[a.0];
@@ -589,39 +488,6 @@ impl Tape {
                     let shape = self.nodes[a.0].value.shape();
                     let da = Matrix::full(shape.0, shape.1, s);
                     self.grads[a.0].add_assign(&da);
-                }
-                Op::SoftmaxMaskedCol(a, mask) => {
-                    let y = &self.nodes[idx].value;
-                    let dot: f32 = (0..y.rows())
-                        .filter(|&i| !mask[i])
-                        .map(|i| g.get(i, 0) * y.get(i, 0))
-                        .sum();
-                    let mut da = Matrix::zeros(y.rows(), 1);
-                    for (i, &masked) in mask.iter().enumerate() {
-                        if !masked {
-                            da.set(i, 0, y.get(i, 0) * (g.get(i, 0) - dot));
-                        }
-                    }
-                    self.grads[a.0].add_assign(&da);
-                }
-                Op::LogSoftmaxMaskedCol(a, mask) => {
-                    let y = &self.nodes[idx].value;
-                    let gsum: f32 = (0..y.rows())
-                        .filter(|&i| !mask[i])
-                        .map(|i| g.get(i, 0))
-                        .sum();
-                    let mut da = Matrix::zeros(y.rows(), 1);
-                    for (i, &masked) in mask.iter().enumerate() {
-                        if !masked {
-                            da.set(i, 0, g.get(i, 0) - y.get(i, 0).exp() * gsum);
-                        }
-                    }
-                    self.grads[a.0].add_assign(&da);
-                }
-                Op::Pick(a, i) => {
-                    let s = g.get(0, 0);
-                    let cur = self.grads[a.0].get(i, 0);
-                    self.grads[a.0].set(i, 0, cur + s);
                 }
                 Op::GatherCols(a, cols) => {
                     let ga = &mut self.grads[a.0];
@@ -735,9 +601,9 @@ impl Tape {
     }
 }
 
-/// Masked softmax over a column vector: the forward kernel of
-/// [`Tape::softmax_masked`], and the reference the gradient-free decode's
-/// candidate-only softmax matches bit for bit.
+/// Masked softmax over a column vector: [`masked_softmax_cols`] of one
+/// column, and the reference the gradient-free decode's candidate-only
+/// softmax matches bit for bit.
 ///
 /// # Panics
 ///
@@ -745,25 +611,7 @@ impl Tape {
 /// is masked.
 pub fn masked_softmax(x: &Matrix, mask: &[bool]) -> Matrix {
     assert_eq!(x.cols(), 1, "softmax on column vectors");
-    assert_eq!(x.rows(), mask.len(), "mask length");
-    assert!(mask.iter().any(|&m| !m), "all entries masked");
-    let mx = (0..x.rows())
-        .filter(|&i| !mask[i])
-        .map(|i| x.get(i, 0))
-        .fold(f32::NEG_INFINITY, f32::max);
-    let mut out = Matrix::zeros(x.rows(), 1);
-    let mut z = 0.0;
-    for (i, &masked) in mask.iter().enumerate() {
-        if !masked {
-            let e = (x.get(i, 0) - mx).exp();
-            out.set(i, 0, e);
-            z += e;
-        }
-    }
-    for i in 0..x.rows() {
-        out.set(i, 0, out.get(i, 0) / z);
-    }
-    out
+    masked_softmax_cols(x, mask)
 }
 
 /// Per-column masked softmax over `[n, B]` (`masks[g*n + i]` masks row `i`
@@ -812,19 +660,6 @@ fn col_masked_log_sum_exp(x: &Matrix, col: usize, mask: &[bool]) -> f32 {
     mx + z.ln()
 }
 
-fn masked_log_sum_exp(x: &Matrix, mask: &[bool]) -> f32 {
-    assert!(mask.iter().any(|&m| !m), "all entries masked");
-    let mx = (0..x.rows())
-        .filter(|&i| !mask[i])
-        .map(|i| x.get(i, 0))
-        .fold(f32::NEG_INFINITY, f32::max);
-    let z: f32 = (0..x.rows())
-        .filter(|&i| !mask[i])
-        .map(|i| (x.get(i, 0) - mx).exp())
-        .sum();
-    mx + z.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,6 +693,24 @@ mod tests {
         }
     }
 
+    /// Masked log-softmax of a column vector, one entry per row: the
+    /// reference each column of the batched op must reproduce.
+    fn log_softmax_ref(x: &Matrix, mask: &[bool]) -> Vec<f32> {
+        let unmasked = || (0..x.rows()).filter(|&i| !mask[i]).map(|i| x.get(i, 0));
+        let mx = unmasked().fold(f32::NEG_INFINITY, f32::max);
+        let z: f32 = unmasked().map(|v| (v - mx).exp()).sum();
+        let lse = mx + z.ln();
+        (0..x.rows())
+            .map(|i| {
+                if mask[i] {
+                    NEG_INF_LOGIT
+                } else {
+                    x.get(i, 0) - lse
+                }
+            })
+            .collect()
+    }
+
     fn test_input(n: usize) -> Matrix {
         Matrix::from_vec(n, 1, (0..n).map(|i| 0.3 * i as f32 - 0.7).collect())
     }
@@ -882,20 +735,6 @@ mod tests {
                 t.sum(y)
             },
             test_input(4),
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_relu() {
-        // offset inputs away from the kink at 0
-        let input = Matrix::from_vec(4, 1, vec![-1.3, -0.4, 0.6, 1.9]);
-        finite_diff_check(
-            |t, x| {
-                let y = t.relu(x);
-                t.sum(y)
-            },
-            input,
             1e-2,
         );
     }
@@ -947,7 +786,9 @@ mod tests {
             |t, x| {
                 let a = t.scale(x, 1.7);
                 let b = t.mul_elem(a, x);
-                let c = t.sub(b, x);
+                // subtraction: an add of a −1 scale
+                let neg = t.scale(x, -1.0);
+                let c = t.add(b, neg);
                 let d = t.add(c, x);
                 t.sum(d)
             },
@@ -1006,20 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_slice_col() {
-        finite_diff_check(
-            |t, x| {
-                let m = t.concat_cols(&[x, x]);
-                let c = t.slice_col(m, 1);
-                let y = t.tanh(c);
-                t.sum(y)
-            },
-            test_input(3),
-            1e-2,
-        );
-    }
-
-    #[test]
     fn grad_add_col_broadcast() {
         let m = Matrix::from_vec(3, 2, (0..6).map(|i| 0.1 * i as f32).collect());
         finite_diff_check(
@@ -1036,10 +863,11 @@ mod tests {
 
     #[test]
     fn grad_softmax_masked() {
+        // one column: the single-lane case of the batched op
         let mask = vec![false, true, false, false];
         finite_diff_check(
             move |t, x| {
-                let y = t.softmax_masked(x, &mask);
+                let y = t.softmax_masked_cols(x, &mask);
                 let w = t.leaf(Matrix::col_from_slice(&[0.3, 0.0, -0.8, 1.2]));
                 let p = t.mul_elem(y, w);
                 t.sum(p)
@@ -1054,8 +882,8 @@ mod tests {
         let mask = vec![false, false, true, false];
         finite_diff_check(
             move |t, x| {
-                let y = t.log_softmax_masked(x, &mask);
-                t.pick(y, 3)
+                let y = t.log_softmax_masked_cols(x, &mask);
+                t.pick_cols(y, &[3])
             },
             test_input(4),
             1e-2,
@@ -1078,7 +906,7 @@ mod tests {
         let mask = [false, false, false];
         let mut t = Tape::new();
         let xv = t.leaf(x.clone());
-        let ls = t.log_softmax_masked(xv, &mask);
+        let ls = t.log_softmax_masked_cols(xv, &mask);
         let sm = masked_softmax(&x, &mask);
         for i in 0..3 {
             assert!((t.value(ls).get(i, 0).exp() - sm.get(i, 0)).abs() < 1e-5);
@@ -1237,13 +1065,8 @@ mod tests {
         let mut t = Tape::new();
         let sv = t.leaf(stacked);
         let ls_cols = t.log_softmax_masked_cols(sv, &masks);
-        let av = t.leaf(a);
-        let ls_a = t.log_softmax_masked(av, &mask_a);
-        for i in 0..4 {
-            assert_eq!(
-                t.value(ls_cols).get(i, 0).to_bits(),
-                t.value(ls_a).get(i, 0).to_bits()
-            );
+        for (i, want) in log_softmax_ref(&a, &mask_a).iter().enumerate() {
+            assert_eq!(t.value(ls_cols).get(i, 0).to_bits(), want.to_bits());
         }
     }
 
@@ -1312,7 +1135,7 @@ mod tests {
                 let cmat = t.leaf(ctx.clone());
                 let scores_row = t.matmul_ta(h, cmat);
                 let scores = t.transpose(scores_row);
-                let probs = t.softmax_masked(scores, &[false; 4]);
+                let probs = t.softmax_masked_cols(scores, &[false; 4]);
                 let glimpse = t.matmul(cmat, probs);
                 let y = t.tanh(glimpse);
                 t.sum(y)

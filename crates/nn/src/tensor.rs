@@ -117,6 +117,17 @@ impl Matrix {
         self.data
     }
 
+    /// Row `r` as a contiguous slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f32] {
+        assert!(r < self.rows, "row out of range");
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// `self @ other` (naive ikj matmul, adequate for the model sizes
     /// used by RESPECT).
     ///
@@ -127,7 +138,7 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dimension");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         if n == 1 {
-            // fast matvec path (dominates LSTM inference)
+            // matvec path: one serial dot per row, no zero skip
             let mut out = Matrix::zeros(m, 1);
             let x = other.data.as_slice();
             for i in 0..m {
@@ -205,9 +216,8 @@ impl Matrix {
         out
     }
 
-    /// Gathers columns `cols[j]` into a new `[rows, cols.len()]` matrix.
-    /// Shared forward kernel of the batched tape op and the gradient-free
-    /// batched decode (their bitwise agreement depends on sharing it).
+    /// Gathers columns `cols[j]` into a new `[rows, cols.len()]` matrix:
+    /// the forward kernel of [`Tape::gather_cols`](crate::Tape::gather_cols).
     ///
     /// # Panics
     ///
@@ -309,6 +319,56 @@ impl Matrix {
     /// Maximum absolute element (0 for empty matrices).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
+    }
+}
+
+/// An affine map `y = W x + b` laid out for gradient-free matrix-vector
+/// products. `W` is stored input-major (transposed), so the weights that
+/// multiply input `p` are contiguous, and [`apply`](Affine::apply) adds
+/// `Wᵀ[p][i] · x[p]` into every output `i` at once, for ascending `p`.
+/// Each output's sum starts at `0.0` and adds the same products in the
+/// same order as the row-dot of [`Matrix::matmul`]'s column-vector path,
+/// then adds the bias, so the bits are those of `W.matmul(x)` plus `b`.
+/// The inner loop runs over independent outputs, so it vectorises
+/// without reassociating any sum.
+#[derive(Debug, Clone)]
+pub struct Affine {
+    w_t: Matrix,
+    b: Vec<f32>,
+}
+
+impl Affine {
+    /// Lays out weights `w` (`[out, in]`) and bias `b` (`[out, 1]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` has no rows or `b` is not `(w.rows(), 1)`.
+    pub fn new(w: &Matrix, b: &Matrix) -> Self {
+        assert!(w.rows() > 0, "affine map needs an output");
+        assert_eq!(b.shape(), (w.rows(), 1), "affine bias shape");
+        Affine {
+            w_t: w.transpose(),
+            b: b.as_slice().to_vec(),
+        }
+    }
+
+    /// `out = W x + b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` has one entry per input and `out` one per output.
+    pub fn apply(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.w_t.rows(), "affine input length");
+        assert_eq!(out.len(), self.b.len(), "affine output length");
+        out.fill(0.0);
+        for (col, &xp) in self.w_t.data.chunks_exact(out.len()).zip(x) {
+            for (o, &w) in out.iter_mut().zip(col) {
+                *o += w * xp;
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(&self.b) {
+            *o += b;
+        }
     }
 }
 
