@@ -74,9 +74,14 @@ impl TeacherDataset {
     /// # Errors
     ///
     /// Returns [`ScheduleError::InvalidConfig`] before labelling anything
-    /// when `config.degrees` is empty or holds a degree of 0, and
-    /// propagates solver errors (zero stages).
+    /// when `config.num_nodes` is 0 or `config.degrees` is empty or holds
+    /// a degree of 0, and propagates solver errors (zero stages).
     pub fn generate(config: &DatasetConfig, model: &CostModel) -> Result<Self, ScheduleError> {
+        if config.num_nodes == 0 {
+            return Err(ScheduleError::InvalidConfig(
+                "dataset graphs need at least one node, got num_nodes = 0".into(),
+            ));
+        }
         if config.degrees.is_empty() || config.degrees.contains(&0) {
             return Err(ScheduleError::InvalidConfig(format!(
                 "dataset degree classes must be nonempty and at least 1, got {:?}",

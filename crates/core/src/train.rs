@@ -538,9 +538,9 @@ mod tests {
         assert!(matches!(train_policy(&cfg), Err(TrainError::ZeroBatchSize)));
     }
 
-    fn assert_degrees_rejected(degrees: Vec<usize>) {
+    fn assert_dataset_rejected(edit: impl FnOnce(&mut DatasetConfig)) {
         let mut cfg = TrainConfig::smoke_test();
-        cfg.dataset.degrees = degrees;
+        edit(&mut cfg.dataset);
         let invalid = |e: &ScheduleError| matches!(e, ScheduleError::InvalidConfig(_));
         let err = TeacherDataset::generate(&cfg.dataset, &cfg.cost_model).unwrap_err();
         assert!(invalid(&err), "{err}");
@@ -557,12 +557,18 @@ mod tests {
 
     #[test]
     fn empty_degree_classes_are_rejected() {
-        assert_degrees_rejected(vec![]);
+        assert_dataset_rejected(|d| d.degrees = vec![]);
     }
 
     #[test]
     fn zero_degree_class_is_rejected() {
-        assert_degrees_rejected(vec![2, 0]);
+        assert_dataset_rejected(|d| d.degrees = vec![2, 0]);
+    }
+
+    #[test]
+    fn zero_node_graphs_are_rejected() {
+        // the sampler would clamp them to one node each
+        assert_dataset_rejected(|d| d.num_nodes = 0);
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl SyntheticSampler {
 
     /// Draws one random DAG.
     ///
-    /// Guarantees: exactly `num_nodes` nodes, acyclic, weakly connected,
+    /// Guarantees: exactly `num_nodes.max(1)` nodes (a `num_nodes` of 0 is
+    /// clamped to one node), acyclic, weakly connected,
     /// `max_in_degree(dag) <= config.max_in_degree`, node 0 is the unique
     /// source-side entry (every node is reachable from it).
     ///

@@ -22,7 +22,13 @@
 //!   index of its parent in the previous frontier, which is sorted by
 //!   bottleneck with ties in [`NodeSet`] order;
 //! * on the last stage only the whole residual completes a schedule, so
-//!   it is costed in closed form, one state per boundary;
+//!   no frontier is built after the second-to-last stage: its sweep costs
+//!   the residual of every boundary it offers on the spot (the residual's
+//!   cut-in bytes are a running sum of a per-node constant) and keeps the
+//!   least completion by objective, bottleneck and [`NodeSet`] order, the
+//!   first offer winning exact ties. After the sweep it adopts that
+//!   completion if it beats the incumbent: the same completion a pass
+//!   over a sorted last frontier would adopt;
 //! * the incumbent starts at the packing-DP solution (optionally tightened
 //!   by simulated annealing from that packing), so the search only
 //!   explores strictly improving regions.
@@ -35,6 +41,7 @@
 //! the search bitwise to a reference implementation.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 use respect_graph::{Dag, NodeId};
@@ -96,8 +103,10 @@ pub struct ExactSolution {
     /// optimal); `false` when the time budget expired first.
     pub proven_optimal: bool,
     /// Search states explored, a proxy for ILP branch count: every
-    /// segment costed on the stages before the last, plus one per
-    /// boundary whose residual the last stage costs.
+    /// segment costed on the stages before the last. The last stage is
+    /// costed with the boundaries the second-to-last one offers and adds
+    /// nothing, except in a one-stage solve, which counts its one stage
+    /// as one state.
     pub states_explored: u64,
 }
 
@@ -202,40 +211,25 @@ impl ExactScheduler {
         }
 
         let mut search = Search::new(dag, &self.model, num_stages, best, ub);
-        // layers[k]: the boundaries after stage k, in expansion order
-        let mut layers = vec![vec![(NodeSet::empty(dag.len()), Entry::default())]];
-        let mut timed_out = false;
-        'stages: for k in 1..=num_stages {
-            for (index, (_, entry)) in layers[k - 1].iter().enumerate() {
-                if entry.bottleneck >= search.ub {
-                    continue;
-                }
-                if let Some(budget) = self.time_budget {
-                    if start_time.elapsed() > budget {
-                        timed_out = true;
-                        break 'stages;
-                    }
-                }
-                search.expand(&Frame {
-                    layers: &layers,
-                    k,
-                    index,
-                });
+        let out_of_time = || {
+            self.time_budget
+                .is_some_and(|budget| start_time.elapsed() > budget)
+        };
+        let timed_out = if num_stages == 1 {
+            // the one stage holds every node, as the packing placed them;
+            // it costs one state unless the bound prunes it (a NaN bound
+            // prunes nothing) or the budget has run out
+            if 0.0 >= search.ub {
+                false
+            } else if out_of_time() {
+                true
+            } else {
+                search.states = 1;
+                false
             }
-            if search.next.is_empty() {
-                break;
-            }
-            let mut frontier: Vec<(NodeSet, Entry)> = search.next.drain().collect();
-            // expand promising boundaries first so ub tightens early; ties
-            // go by set order, not by the map's per-process hash order
-            frontier.sort_by(|a, b| {
-                a.1.bottleneck
-                    .partial_cmp(&b.1.bottleneck)
-                    .expect("finite")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            layers.push(frontier);
-        }
+        } else {
+            search.run(out_of_time)
+        };
 
         debug_assert!(search.best.is_valid(dag));
         Ok(ExactSolution {
@@ -266,6 +260,16 @@ struct Frame<'f> {
     index: usize,
 }
 
+/// The least completion the folded sweep has offered: its stage `K - 2`
+/// grows from boundary `parent` of the last frontier to `ideal`, and
+/// stage `K - 1` holds the rest.
+struct Candidate {
+    objective: f64,
+    bottleneck: f64,
+    parent: usize,
+    ideal: NodeSet,
+}
+
 /// One solve's search state. Per-node tables are indexed by topological
 /// position; `node` maps a position back to its id.
 struct Search<'a> {
@@ -277,13 +281,18 @@ struct Search<'a> {
     params: Vec<u64>,
     macs: Vec<u64>,
     output: Vec<u64>,
+    /// `output · |succs| − Σ output(preds)`: how placing a node changes
+    /// the bytes crossing into the residual, modulo 2^64.
+    cut_out: Vec<u64>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
     ub: f64,
     best: Schedule,
     states: u64,
     /// Boundaries reached on the current stage.
-    next: HashMap<NodeSet, Entry>,
+    next: HashMap<NodeSet, Entry, BuildHasherDefault<WordHasher>>,
+    /// The folded sweep's least completion so far.
+    last: Candidate,
     /// The boundary plus the segment grown so far, by node id.
     ideal: NodeSet,
     /// Bytes entering each node from the boundary.
@@ -299,6 +308,12 @@ impl<'a> Search<'a> {
         let node = order::default_order(dag);
         let pos = order::positions(dag, &node);
         let positions = |ids: &[NodeId]| ids.iter().map(|v| pos[v.index()]).collect();
+        let output = |v: &NodeId| dag.node(*v).output_bytes;
+        let cut_out = node.iter().map(|&v| {
+            let fan_out = output(&v).wrapping_mul(dag.succs(v).len() as u64);
+            let fan_in = dag.preds(v).iter().map(output).fold(0, u64::wrapping_add);
+            fan_out.wrapping_sub(fan_in)
+        });
         Search {
             model,
             num_stages,
@@ -306,14 +321,21 @@ impl<'a> Search<'a> {
             total_macs: dag.total_macs(),
             params: node.iter().map(|&v| dag.node(v).param_bytes).collect(),
             macs: node.iter().map(|&v| dag.node(v).macs).collect(),
-            output: node.iter().map(|&v| dag.node(v).output_bytes).collect(),
+            output: node.iter().map(output).collect(),
+            cut_out: cut_out.collect(),
             preds: node.iter().map(|&v| positions(dag.preds(v))).collect(),
             succs: node.iter().map(|&v| positions(dag.succs(v))).collect(),
             node,
             ub,
             best,
             states: 0,
-            next: HashMap::new(),
+            next: HashMap::default(),
+            last: Candidate {
+                objective: f64::INFINITY,
+                bottleneck: f64::INFINITY,
+                parent: 0,
+                ideal: NodeSet::empty(dag.len()),
+            },
             ideal: NodeSet::empty(dag.len()),
             cut_in: vec![0; dag.len()],
             unplaced: vec![0; dag.len()],
@@ -321,10 +343,52 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// Sweeps stages `1..K - 1`, the last of them folded with stage `K`,
+    /// then adopts the least completion found. Returns `true`, adopting
+    /// nothing, when `out_of_time` cuts a sweep short.
+    fn run(&mut self, out_of_time: impl Fn() -> bool) -> bool {
+        let folded = self.num_stages - 1;
+        // layers[k]: the boundaries after stage k, in expansion order
+        let mut layers = vec![vec![(NodeSet::empty(self.node.len()), Entry::default())]];
+        for k in 1..=folded {
+            for index in 0..layers[k - 1].len() {
+                if layers[k - 1][index].1.bottleneck >= self.ub {
+                    continue;
+                }
+                if out_of_time() {
+                    return true;
+                }
+                self.expand(&Frame {
+                    layers: &layers,
+                    k,
+                    index,
+                });
+            }
+            if k == folded || self.next.is_empty() {
+                break;
+            }
+            let mut frontier: Vec<(NodeSet, Entry)> = self.next.drain().collect();
+            // expand promising boundaries first so ub tightens early; ties
+            // go by set order, not by the map's per-process hash order
+            frontier.sort_by(|a, b| {
+                a.1.bottleneck
+                    .partial_cmp(&b.1.bottleneck)
+                    .expect("finite")
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            layers.push(frontier);
+        }
+        if self.last.objective < self.ub {
+            let last = &self.last;
+            self.best = self.schedule(&layers, folded, last.parent, &last.ideal);
+        }
+        false
+    }
+
     /// Tabulates the boundary's residual, then grows stage `k`'s segment
-    /// over it, or on the last stage costs the whole residual.
+    /// over it.
     fn expand(&mut self, at: &Frame<'_>) {
-        let (boundary, entry) = &at.layers[at.k - 1][at.index];
+        let boundary = &at.layers[at.k - 1][at.index].0;
         self.ideal.words.copy_from_slice(&boundary.words);
         self.ready.fill(0);
         let (mut residual, mut residual_cut_in) = (0, 0);
@@ -348,25 +412,26 @@ impl<'a> Search<'a> {
             residual += 1;
             residual_cut_in += cut_in;
         }
-        if at.k < self.num_stages {
-            self.extend(at, SegmentAccumulator::new(), 0, residual);
-            return;
-        }
-        self.states += 1;
-        let cost = self.model.stage_cost(
-            self.total_params - entry.covered_params,
-            self.total_macs - entry.covered_macs,
-            residual_cut_in,
-        );
-        if cost < self.ub {
-            self.complete(at, entry.bottleneck.max(cost));
+        let seg = SegmentAccumulator::new();
+        if at.k + 1 == self.num_stages {
+            self.extend::<true>(at, seg, residual_cut_in, 0, residual);
+        } else {
+            self.extend::<false>(at, seg, 0, 0, residual);
         }
     }
 
     /// Grows `seg` by each ready position at or above `from`, then
     /// recursively beyond it; `left` counts the residual nodes outside
-    /// the segment.
-    fn extend(&mut self, at: &Frame<'_>, seg: SegmentAccumulator, mut from: usize, left: usize) {
+    /// the segment. On the stage folded with the last (`FOLD`),
+    /// `rest_cut_in` tracks the bytes entering what is left.
+    fn extend<const FOLD: bool>(
+        &mut self,
+        at: &Frame<'_>,
+        seg: SegmentAccumulator,
+        rest_cut_in: u64,
+        mut from: usize,
+        left: usize,
+    ) {
         let base = at.layers[at.k - 1][at.index].1.bottleneck;
         while let Some(p) = next_bit(&self.ready, from) {
             from = p + 1;
@@ -387,8 +452,13 @@ impl<'a> Search<'a> {
                     self.complete(at, bottleneck);
                 }
             } else {
-                self.offer(at, grown, bottleneck);
-                self.extend(at, grown, p + 1, left - 1);
+                let rest_cut_in = if FOLD {
+                    rest_cut_in.wrapping_add(self.cut_out[p])
+                } else {
+                    0
+                };
+                self.offer::<FOLD>(at, grown, bottleneck, rest_cut_in);
+                self.extend::<FOLD>(at, grown, rest_cut_in, p + 1, left - 1);
             }
             self.unplace(p);
         }
@@ -396,46 +466,94 @@ impl<'a> Search<'a> {
 
     /// Records `ideal` as a boundary after stage `k`, unless the
     /// even-split bound on the rest or a cheaper path to it rules it out.
-    fn offer(&mut self, at: &Frame<'_>, segment: SegmentAccumulator, bottleneck: f64) {
+    /// On the folded stage the rest is the last stage: it is costed now,
+    /// and the completion is kept if it is the least so far.
+    fn offer<const FOLD: bool>(
+        &mut self,
+        at: &Frame<'_>,
+        segment: SegmentAccumulator,
+        bottleneck: f64,
+        rest_cut_in: u64,
+    ) {
         let entry = &at.layers[at.k - 1][at.index].1;
         let covered_params = entry.covered_params + segment.param_bytes;
         let covered_macs = entry.covered_macs + segment.macs;
-        let m = (self.num_stages - at.k) as u64;
-        let spill =
-            ((self.total_params - covered_params) / m).saturating_sub(self.model.cache_bytes);
-        let lb_rest = self.model.sec_per_mac * ((self.total_macs - covered_macs) / m) as f64
+        let rest_params = self.total_params - covered_params;
+        let rest_macs = self.total_macs - covered_macs;
+        let m = if FOLD {
+            1
+        } else {
+            (self.num_stages - at.k) as u64
+        };
+        let spill = (rest_params / m).saturating_sub(self.model.cache_bytes);
+        let lb_rest = self.model.sec_per_mac * (rest_macs / m) as f64
             + self.model.sec_per_byte * spill as f64;
-        if bottleneck.max(lb_rest) < self.ub {
-            let reached = Entry {
-                bottleneck,
-                covered_params,
-                covered_macs,
-                parent: at.index,
-            };
-            match self.next.get_mut(&self.ideal) {
-                Some(e) if bottleneck < e.bottleneck => *e = reached,
-                Some(_) => {}
-                None => {
-                    self.next.insert(self.ideal.clone(), reached);
-                }
+        let promising = bottleneck.max(lb_rest) < self.ub;
+        if !promising {
+            return;
+        }
+        if FOLD {
+            // test the cost itself: `max` would drop a NaN cost, and a
+            // NaN cost must never complete
+            let rest = self.model.stage_cost(rest_params, rest_macs, rest_cut_in);
+            let objective = bottleneck.max(rest);
+            let last = &mut self.last;
+            if rest < self.ub
+                && (objective, bottleneck, &self.ideal)
+                    < (last.objective, last.bottleneck, &last.ideal)
+            {
+                last.objective = objective;
+                last.bottleneck = bottleneck;
+                last.parent = at.index;
+                last.ideal.words.copy_from_slice(&self.ideal.words);
+            }
+            return;
+        }
+        let reached = Entry {
+            bottleneck,
+            covered_params,
+            covered_macs,
+            parent: at.index,
+        };
+        match self.next.get_mut(&self.ideal) {
+            Some(e) if bottleneck < e.bottleneck => *e = reached,
+            Some(_) => {}
+            None => {
+                self.next.insert(self.ideal.clone(), reached);
             }
         }
     }
 
     /// Adopts as incumbent the schedule whose stage `k - 1` is the
-    /// boundary's whole residual, reading earlier stages along parents.
+    /// boundary's whole residual.
     fn complete(&mut self, at: &Frame<'_>, objective: f64) {
         self.ub = objective;
-        let mut stage_of = vec![at.k - 1; self.node.len()];
-        let mut index = at.index;
-        for j in (1..at.k).rev() {
-            let (boundary, entry) = &at.layers[j][index];
+        self.best = self.schedule(at.layers, at.k, at.index, &self.ideal);
+    }
+
+    /// The schedule whose stage `k - 1` grows from boundary `index` of
+    /// `layers[k - 1]` to `ideal`, with earlier stages read along parents
+    /// and every node outside `ideal` on stage `k`.
+    fn schedule(
+        &self,
+        layers: &[Vec<(NodeSet, Entry)>],
+        k: usize,
+        index: usize,
+        ideal: &NodeSet,
+    ) -> Schedule {
+        let ids = (0..self.node.len()).map(|i| NodeId(i as u32));
+        let mut stage_of: Vec<usize> = ids
+            .map(|v| if ideal.contains(v) { k - 1 } else { k })
+            .collect();
+        let mut index = index;
+        for j in (1..k).rev() {
+            let (boundary, entry) = &layers[j][index];
             for v in boundary.iter() {
                 stage_of[v.index()] = j - 1;
             }
             index = entry.parent;
         }
-        self.best = Schedule::new(stage_of, self.num_stages).expect("stages in range");
+        Schedule::new(stage_of, self.num_stages).expect("stages in range")
     }
 
     /// Adds ready position `p` to the segment.
@@ -460,6 +578,47 @@ impl<'a> Search<'a> {
         }
         self.ideal.remove(self.node[p]);
         flip(&mut self.ready, p);
+    }
+}
+
+/// Multiply-rotate hash over whole words, far cheaper than the default
+/// SipHash for a frontier key. The frontier is drained and sorted before
+/// use, so the hasher cannot change a result. It gives up SipHash's
+/// resistance to crafted collisions: a graph built to collide can turn a
+/// lookup into a scan of its stage's frontier, which is already
+/// exponential in the graph's width.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // the product's entropy sits in its high bits; the table indexes
+        // by the low ones
+        self.0.rotate_left(26)
     }
 }
 
@@ -589,6 +748,15 @@ mod tests {
         let sol = ExactScheduler::new(model).solve(&dag, 1).unwrap();
         assert!(sol.schedule.stage_of().iter().all(|&s| s == 0));
         assert!(sol.proven_optimal);
+        assert_eq!(sol.states_explored, 1);
+        // an expired budget stops the one stage before it is costed
+        let out_of_time = ExactScheduler::new(model)
+            .with_time_budget(Duration::from_nanos(1))
+            .solve(&dag, 1)
+            .unwrap();
+        assert_eq!(out_of_time.schedule, sol.schedule);
+        assert!(!out_of_time.proven_optimal);
+        assert_eq!(out_of_time.states_explored, 0);
     }
 
     #[test]
@@ -681,8 +849,8 @@ mod tests {
 
     #[test]
     fn tied_optima_resolve_the_same_way_every_solve() {
-        // this graph has several optimal schedules at k = 4; each solve
-        // builds fresh hash maps with fresh hash keys, so only the set
+        // this graph has several optimal schedules at k = 4; the frontier
+        // map's iteration order is no part of the result, so only the set
         // order on ties makes the returned optimum repeat
         let dag = SyntheticSampler::new(SyntheticConfig::paper(2), 1002).sample();
         let solver = ExactScheduler::new(CostModel::coral()).with_warmstart_moves(200);

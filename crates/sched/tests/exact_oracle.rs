@@ -1,20 +1,22 @@
 //! Bitwise oracle for the exact scheduler's search kernel.
 //!
 //! [`ExactScheduler::solve`] relabels nodes by topological position,
-//! keeps the ready set as a bitset, records frontier parents as indices
-//! and costs the last stage's whole residual in closed form. The reference
-//! below is the search it replaced: node-id ready lists, `NodeSet` unions,
-//! `parent_of` maps, and a last stage that enumerates every residual ideal.
-//! Both enumerate each ideal extension once, adding its nodes in
-//! increasing topological position, sort frontier ties by `NodeSet` order
-//! and prune on the same bounds, so they must return the same schedule
-//! and objective bits. Within one boundary they visit extensions in
-//! different orders, which could only matter for a segment whose cost
-//! exactly ties a bound that a stage before the last has just lowered.
-//! The kernel counts one state per boundary it expands on the last stage,
-//! the reference every segment it costs there, so the kernel's
-//! `states_explored` must equal the reference's states on the other
-//! stages plus its last-stage boundaries.
+//! keeps the ready set as a bitset, records frontier parents as indices,
+//! and builds no frontier after the second-to-last stage: that stage's
+//! sweep costs the last stage of every boundary it offers and keeps the
+//! least completion. The reference below is a plainer search: node-id
+//! ready lists, `NodeSet` unions, `parent_of` maps, and a last stage that
+//! passes over the sorted last frontier and costs each boundary's whole
+//! residual from its edges. Both enumerate each ideal extension once,
+//! adding its nodes in increasing topological position and visiting a
+//! boundary's extensions in that order, sort frontier ties by `NodeSet`
+//! order and prune on the same bounds, so they must return the same
+//! schedule and objective bits. That holds under any cost model, also
+//! where a NaN, negative or overflowing coefficient makes the bounds
+//! non-monotone and the visit order decides which states a just-lowered
+//! bound prunes. The kernel counts no state for the last stage, so its
+//! `states_explored` must equal the segments the reference costs on the
+//! stages before the last; a one-stage solve counts its one boundary.
 //!
 //! Most inputs have node ids out of topological order (the synthetic
 //! sampler's and seven of the ten Table I models'), which exercises the
@@ -29,13 +31,11 @@ use respect_sched::cost::{CostModel, SegmentAccumulator};
 use respect_sched::exact::{ExactScheduler, ExactSolution, NodeSet};
 use respect_sched::{order, pack, Schedule, Scheduler};
 
-/// What the reference search returns, with its state count split at the
-/// last stage.
+/// What the reference search returns; `solution.states_explored` counts
+/// the segments costed on the stages before the last.
 struct Reference {
     solution: ExactSolution,
-    /// Segment states costed on stages `1..K`.
-    states_before_last: u64,
-    /// Boundaries expanded on stage `K`.
+    /// Boundaries whose residual stage `K` costs.
     last_boundaries: u64,
 }
 
@@ -53,6 +53,29 @@ fn union(a: &NodeSet, b: &NodeSet) -> NodeSet {
         s.insert(v);
     }
     s
+}
+
+/// The schedule that puts every node outside `boundary`, the boundary
+/// after stage `k - 1`, on stage `k - 1` and the rest along `parent_of`.
+fn schedule_along(
+    parent_of: &[HashMap<NodeSet, NodeSet>],
+    boundary: &NodeSet,
+    k: usize,
+    n: usize,
+    num_stages: usize,
+) -> Schedule {
+    let mut stage_of = vec![k - 1; n];
+    let mut cur = boundary.clone();
+    for j in (1..k).rev() {
+        let parent = parent_of[j].get(&cur).expect("chain").clone();
+        for u in cur.iter() {
+            if !parent.contains(u) {
+                stage_of[u.index()] = j - 1;
+            }
+        }
+        cur = parent;
+    }
+    Schedule::new(stage_of, num_stages).expect("stages in range")
 }
 
 /// The reference exact search.
@@ -103,7 +126,6 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
     let mut parent_of: Vec<HashMap<NodeSet, NodeSet>> = vec![HashMap::new(); num_stages + 1];
 
     let mut states: u64 = 0;
-    let mut states_before_last = None;
     let mut last_boundaries = 0;
     let mut timed_out = false;
 
@@ -117,9 +139,6 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
     }
 
     'stages: for k in 1..=num_stages {
-        if k == num_stages {
-            states_before_last = Some(states);
-        }
         let mut next: HashMap<NodeSet, Entry> = HashMap::new();
         let mut boundaries: Vec<(&NodeSet, &Entry)> = frontier.iter().collect();
         boundaries.sort_by(|a, b| {
@@ -139,7 +158,21 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
                 }
             }
             if k == num_stages {
+                // only the whole residual completes a schedule
                 last_boundaries += 1;
+                let rest_params = total_params - entry.covered_params;
+                let rest_macs = total_macs - entry.covered_macs;
+                let cut_in: u64 = dag
+                    .edges()
+                    .filter(|&(u, v)| boundary.contains(u) && !boundary.contains(v))
+                    .map(|(u, _)| dag.node(u).output_bytes)
+                    .sum();
+                let cost = model.stage_cost(rest_params, rest_macs, cut_in);
+                if cost < ub {
+                    ub = entry.bottleneck.max(cost);
+                    best = schedule_along(&parent_of, boundary, k, n, num_stages);
+                }
+                continue;
             }
             let mut indeg_rem = vec![0u32; n];
             let mut ready = Vec::new();
@@ -186,12 +219,13 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
                 parent_of: &mut [HashMap<NodeSet, NodeSet>],
                 states: &mut u64,
             ) {
-                let candidates: Vec<NodeId> = dfs
+                let mut candidates: Vec<NodeId> = dfs
                     .ready
                     .iter()
                     .copied()
                     .filter(|&v| last_pos == usize::MAX || dfs.pos[v.index()] > last_pos)
                     .collect();
+                candidates.sort_by_key(|v| dfs.pos[v.index()]);
                 for v in candidates {
                     let mut acc2 = acc;
                     acc2.push(dfs.dag, v, |p| boundary.contains(p));
@@ -218,23 +252,10 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
                     if d2 == *full {
                         if nb < *ub {
                             *ub = nb;
-                            let mut stage_of = vec![0usize; dfs.dag.len()];
-                            for u in dfs.seg.iter() {
-                                stage_of[u.index()] = k - 1;
-                            }
-                            let mut cur = boundary.clone();
-                            for j in (1..k).rev() {
-                                let parent = parent_of[j].get(&cur).expect("chain").clone();
-                                for u in cur.iter() {
-                                    if !parent.contains(u) {
-                                        stage_of[u.index()] = j - 1;
-                                    }
-                                }
-                                cur = parent;
-                            }
-                            *best = Schedule::new(stage_of, num_stages).expect("stages in range");
+                            *best =
+                                schedule_along(parent_of, boundary, k, dfs.dag.len(), num_stages);
                         }
-                    } else if k < num_stages {
+                    } else {
                         let rest_params = total_params - covered_params - acc2.param_bytes;
                         let rest_macs = total_macs - covered_macs - acc2.macs;
                         let m = (num_stages - k) as u64;
@@ -325,7 +346,6 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
             proven_optimal: !timed_out,
             states_explored: states,
         },
-        states_before_last: states_before_last.unwrap_or(states),
         last_boundaries,
     }
 }
@@ -348,11 +368,12 @@ fn assert_agree(solver: &ExactScheduler, dag: &Dag, num_stages: usize, label: &s
         want.objective
     );
     assert_eq!(kernel.proven_optimal, want.proven_optimal, "{label}");
-    assert_eq!(
-        kernel.states_explored,
-        oracle.states_before_last + oracle.last_boundaries,
-        "{label}: states"
-    );
+    let states = if num_stages == 1 {
+        oracle.last_boundaries
+    } else {
+        want.states_explored
+    };
+    assert_eq!(kernel.states_explored, states, "{label}: states");
 }
 
 fn out_of_topological_order(dag: &Dag) -> bool {
@@ -426,6 +447,99 @@ fn cold_starts_match_the_reference() {
                     stages,
                     &format!("cold {nodes}/{seed} k={stages}"),
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_cost_models_match_the_reference() {
+    // NaN costs are never pruned and never complete; negative ones break
+    // the monotone bound; an infinite coefficient times zero MACs is NaN,
+    // and so is a sum of overflowing terms of opposite sign
+    let coral = CostModel::coral();
+    let degenerate = [
+        CostModel {
+            sec_per_mac: f64::NAN,
+            ..coral
+        },
+        CostModel {
+            sec_per_byte: f64::NAN,
+            ..coral
+        },
+        CostModel {
+            sec_per_mac: -coral.sec_per_mac,
+            ..coral
+        },
+        CostModel {
+            sec_per_byte: -coral.sec_per_byte,
+            ..coral
+        },
+        CostModel {
+            sec_per_mac: -coral.sec_per_mac,
+            sec_per_byte: -coral.sec_per_byte,
+            ..coral
+        },
+        CostModel {
+            sec_per_mac: f64::INFINITY,
+            ..coral
+        },
+        CostModel {
+            sec_per_mac: 0.0,
+            sec_per_byte: 0.0,
+            cache_bytes: 0,
+        },
+        CostModel {
+            sec_per_mac: 1e306,
+            sec_per_byte: -1e307,
+            cache_bytes: 0,
+        },
+    ];
+    // under the overflowing model this tiny graph's last stage costs NaN
+    // where a bottleneck does not, which only the last stage's own
+    // `cost < ub` test keeps from completing (k = 2, cold)
+    let tiny = SyntheticConfig {
+        num_nodes: 6,
+        param_bytes_range: (1, 64),
+        output_bytes_range: (1, 16),
+        ..SyntheticConfig::default()
+    };
+    let tiny = (
+        "6-node tiny-byte graph".to_string(),
+        SyntheticSampler::new(tiny, 77).sample(),
+    );
+    // teacher-distribution graphs of 12, 20 and 30 nodes; under a negative
+    // `sec_per_byte` the first two need the last stage's own tests, not
+    // just `max(bottleneck, cost) < ub`, at k = 2 from a packing-only
+    // warm start and at k = 3 cold
+    let teacher = [(12, 6, 1004), (20, 3, 1006), (30, 2, 0xde6)].map(|(nodes, deg, seed)| {
+        let cfg = SyntheticConfig {
+            num_nodes: nodes,
+            max_in_degree: deg,
+            ..SyntheticConfig::default()
+        };
+        let dag = SyntheticSampler::new(cfg, seed).sample();
+        (format!("{nodes}-node teacher graph"), dag)
+    });
+    let table1 = models::table1()
+        .into_iter()
+        .filter(|(name, _)| ["Xception", "ResNet50", "DenseNet121"].contains(name))
+        .map(|(name, dag)| (name.to_string(), dag));
+    let graphs: Vec<(String, Dag)> = teacher.into_iter().chain(table1).chain([tiny]).collect();
+    assert_eq!(graphs.len(), 7);
+    for model in degenerate {
+        let solvers = [
+            ExactScheduler::new(model).with_warmstart_moves(0),
+            ExactScheduler::new(model).with_warmstart_moves(200),
+            ExactScheduler::cold(model),
+        ];
+        for (name, dag) in &graphs {
+            for solver in &solvers {
+                for stages in 1..=6 {
+                    let (moves, cold) = (solver.warmstart_moves, solver.cold_start);
+                    let label = format!("{model:?} {name} k={stages} moves={moves} cold={cold}");
+                    assert_agree(solver, dag, stages, &label);
+                }
             }
         }
     }
