@@ -17,7 +17,7 @@
 //! count × router × diurnal load and writes `BENCH_fleet.json`
 //! (`--out <path>` overrides); `deploy` runs the unified `Deployment`
 //! facade end to end; `soak` runs the long-horizon event-engine
-//! benchmark (binary heap vs calendar queue, bitwise cross-checked)
+//! benchmark (serial vs scoped-thread sweep, bitwise cross-checked)
 //! and writes `BENCH_soak.json` (`--out <path>` overrides,
 //! `--threads <n>` pins the parallel sweep width). `soak` is not part
 //! of `all`: it measures the engine, not the paper; `fleet` runs under
@@ -315,37 +315,34 @@ fn soak_bench(quick: bool, args: &[String]) {
     };
     let out = flag_value("--out").map_or("BENCH_soak.json", |v| v.as_str());
 
-    println!("\n== Soak: long-horizon event engine, heap vs calendar =============");
+    println!("\n== Soak: long-horizon event engine =================================");
     let cfg = soak::SoakConfig { quick, threads };
     let r = soak::soak(&cfg);
     println!(
-        "{:<38} {:>6} {:>10} {:>10} {:>11} {:>11} {:>8}",
-        "point", "10^6ev", "sim (s)", "heap (s)", "heap Mev/s", "cal Mev/s", "speedup"
+        "{:<42} {:>6} {:>10} {:>10} {:>8}",
+        "point", "10^6ev", "sim (s)", "wall (s)", "Mev/s"
     );
     for p in &r.points {
         println!(
-            "{:<38} {:>6.1} {:>10.1} {:>10.3} {:>11.2} {:>11.2} {:>7.2}x",
+            "{:<42} {:>6.1} {:>10.1} {:>10.3} {:>8.2}",
             p.label,
             p.events as f64 / 1e6,
             p.simulated_s,
-            p.heap_wall_s,
-            p.heap_eps() / 1e6,
-            p.calendar_eps() / 1e6,
-            p.engine_speedup()
+            p.wall_s,
+            p.events_per_s() / 1e6
         );
     }
     println!(
-        "total: {:.1}M events over {:.2} simulated hours; every point bitwise-identical across queue kinds",
+        "total: {:.1}M events over {:.2} simulated hours; every point bitwise-identical serial vs parallel",
         r.total_events as f64 / 1e6,
         r.total_simulated_hours
     );
     println!(
-        "serial heap {:.2}s -> serial calendar {:.2}s ({:.2}x engine) -> {}-thread calendar {:.2}s ({:.2}x sweep)",
-        r.serial_heap_s,
-        r.serial_calendar_s,
-        r.engine_speedup(),
+        "serial {:.2}s ({:.2} Mev/s) -> {}-thread {:.2}s ({:.2}x sweep)",
+        r.serial_s,
+        r.events_per_s() / 1e6,
         r.threads,
-        r.parallel_calendar_s,
+        r.parallel_s,
         r.sweep_speedup()
     );
     let json = soak::to_json(&r);

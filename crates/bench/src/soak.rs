@@ -3,27 +3,32 @@
 //! The regular benches (`benches/sim.rs`, `benches/serve.rs`) time
 //! short runs where setup and cache warm-up dominate. The soak drives
 //! the engine through **tens of millions of events over hours of
-//! simulated time** — multi-tenant streams on a contended USB bus, the
-//! regime the calendar queue exists for — and answers two questions:
+//! simulated time** — from one closed-loop tenant to thousands of
+//! co-resident Poisson tenants on a contended USB bus, so the pending
+//! set runs both in the event queue's sorted front run (a few events)
+//! and in its calendar ring (one timer per tenant) — and answers two
+//! questions:
 //!
-//! 1. **Is the overhaul safe?** Every grid point runs under both
-//!    [`QueueKind`]s and the reports must compare equal ([`SimReport`]
-//!    equality is exact `f64` comparison, so this is a bitwise check of
-//!    every latency, throughput, and makespan in the sweep).
-//! 2. **What did it buy?** Per-point and aggregate events/second for
-//!    the seed binary heap vs the calendar queue (`engine_speedup`),
-//!    plus the sweep-level win of running grid points on scoped threads
-//!    (`sweep_speedup` = serial-heap wall over parallel-calendar wall).
+//! 1. **Is the engine deterministic across threads?** Every grid point
+//!    runs serially and again on scoped worker threads, and the two
+//!    reports must compare equal ([`SimReport`] equality is exact `f64`
+//!    comparison, so this is a bitwise check of every latency,
+//!    throughput, and makespan in the sweep).
+//! 2. **How fast is it?** Per-point and aggregate events/second of the
+//!    serial runs, plus the sweep-level win of running grid points on
+//!    scoped threads (`sweep_speedup` = serial wall over parallel wall).
 //!
 //! Results are printed as a table and serialized by [`to_json`] into
 //! `BENCH_soak.json`, one machine-readable trajectory point per commit.
+//! The queue itself is pinned bitwise against a binary-heap reference
+//! by the `respect_tpu` tests, not here.
 
 use std::time::Instant;
 
 use respect_graph::{models, Dag};
 use respect_sched::{balanced::ParamBalanced, Scheduler};
 use respect_tpu::sim::{self, Arrivals, SimConfig, SimReport, Workload};
-use respect_tpu::{compile, exec, CompiledPipeline, DeviceSpec, QueueKind};
+use respect_tpu::{compile, exec, CompiledPipeline, DeviceSpec};
 
 /// How hard to soak and how wide to fan out.
 #[derive(Debug, Clone, Copy)]
@@ -111,12 +116,11 @@ fn grid(quick: bool) -> Vec<PointSpec> {
             contended: true,
             load: 0.0,
         },
-        // The fleet-scale points (ROADMAP item 1): with thousands of
-        // co-resident tenants the pending-event set holds ~one timer
-        // per tenant, which is where a binary heap pays 10-12 sift
-        // levels per operation and a calendar queue stays O(1). The
-        // small points above pin the no-regression story at depth ~10;
-        // these are the speedup, growing with tenant count.
+        // The fleet-scale points: with thousands of co-resident
+        // tenants the pending-event set holds ~one timer per tenant,
+        // which keeps the queue in its calendar ring (a binary heap
+        // would pay 10-12 sift levels per operation). The small points
+        // above keep it in its sorted front run.
         PointSpec {
             label: "resnet50/fleet-poisson70/contended/1024t",
             dag: models::resnet50,
@@ -174,13 +178,12 @@ fn prepare(spec: PointSpec, device: &DeviceSpec) -> ReadyPoint {
     ReadyPoint { spec, workloads }
 }
 
-fn run_point(point: &ReadyPoint, device: &DeviceSpec, queue: QueueKind) -> (SimReport, f64) {
-    let base = if point.spec.contended {
+fn run_point(point: &ReadyPoint, device: &DeviceSpec) -> (SimReport, f64) {
+    let cfg = if point.spec.contended {
         SimConfig::contended()
     } else {
         SimConfig::uncontended()
     };
-    let cfg = base.with_queue(queue);
     let start = Instant::now();
     let report = sim::run(&point.workloads, device, &cfg).expect("soak run");
     (report, start.elapsed().as_secs_f64())
@@ -201,29 +204,15 @@ pub struct SoakPoint {
     pub events: u64,
     /// Simulated horizon, seconds.
     pub simulated_s: f64,
-    /// Wall time of the serial binary-heap run, seconds.
-    pub heap_wall_s: f64,
-    /// Wall time of the serial calendar-queue run, seconds.
-    pub calendar_wall_s: f64,
+    /// Wall time of the serial run, seconds.
+    pub wall_s: f64,
 }
 
 impl SoakPoint {
-    /// Events per second of the binary-heap engine.
+    /// Events per second of the serial run.
     #[must_use]
-    pub fn heap_eps(&self) -> f64 {
-        self.events as f64 / self.heap_wall_s
-    }
-
-    /// Events per second of the calendar-queue engine.
-    #[must_use]
-    pub fn calendar_eps(&self) -> f64 {
-        self.events as f64 / self.calendar_wall_s
-    }
-
-    /// Calendar-over-heap engine speedup at this point.
-    #[must_use]
-    pub fn engine_speedup(&self) -> f64 {
-        self.heap_wall_s / self.calendar_wall_s
+    pub fn events_per_s(&self) -> f64 {
+        self.events as f64 / self.wall_s
     }
 }
 
@@ -240,40 +229,36 @@ pub struct SoakReport {
     pub total_events: u64,
     /// Simulated time across the grid, hours.
     pub total_simulated_hours: f64,
-    /// Wall time of the serial binary-heap pass, seconds.
-    pub serial_heap_s: f64,
-    /// Wall time of the serial calendar pass, seconds.
-    pub serial_calendar_s: f64,
-    /// Wall time of the scoped-thread parallel calendar pass, seconds.
-    pub parallel_calendar_s: f64,
+    /// Wall time of the serial pass, seconds.
+    pub serial_s: f64,
+    /// Wall time of the scoped-thread parallel pass, seconds.
+    pub parallel_s: f64,
 }
 
 impl SoakReport {
-    /// Aggregate calendar-over-heap engine speedup (same work, one
-    /// thread each).
+    /// Events per second of the serial pass over the whole grid.
     #[must_use]
-    pub fn engine_speedup(&self) -> f64 {
-        self.serial_heap_s / self.serial_calendar_s
+    pub fn events_per_s(&self) -> f64 {
+        self.total_events as f64 / self.serial_s
     }
 
-    /// Sweep-level speedup of the overhaul: serial binary heap (the
-    /// seed behavior) vs calendar queue on scoped worker threads.
+    /// Sweep-level speedup of running grid points on scoped worker
+    /// threads: serial wall over parallel wall.
     #[must_use]
     pub fn sweep_speedup(&self) -> f64 {
-        self.serial_heap_s / self.parallel_calendar_s
+        self.serial_s / self.parallel_s
     }
 }
 
-/// Runs the soak: a serial binary-heap pass, a serial calendar pass
-/// (asserted report-for-report identical), and a parallel calendar pass
-/// over scoped worker threads (asserted identical again, collected in
-/// deterministic grid order).
+/// Runs the soak: a serial pass over the grid, then a parallel pass
+/// over scoped worker threads, asserted report-for-report identical to
+/// the serial pass and collected in deterministic grid order.
 ///
 /// # Panics
 ///
-/// Panics if any grid point's reports diverge between queue kinds —
-/// that is a correctness bug in the pending-event set, and no timing
-/// result is worth reporting past it.
+/// Panics if any grid point's parallel report diverges from its serial
+/// one — the engine is deterministic per input, so that is a bug, and no
+/// timing result is worth reporting past it.
 #[must_use]
 pub fn soak(cfg: &SoakConfig) -> SoakReport {
     let device = DeviceSpec::coral();
@@ -290,33 +275,14 @@ pub fn soak(cfg: &SoakConfig) -> SoakReport {
     }
     .clamp(1, ready.len());
 
-    // phase 1: the seed engine, serially — the baseline trajectory
-    let serial_heap_t0 = Instant::now();
-    let heap_runs: Vec<(SimReport, f64)> = ready
-        .iter()
-        .map(|p| run_point(p, &device, QueueKind::BinaryHeap))
-        .collect();
-    let serial_heap_s = serial_heap_t0.elapsed().as_secs_f64();
+    // phase 1: serially — the per-point events/s
+    let serial_t0 = Instant::now();
+    let serial_runs: Vec<(SimReport, f64)> = ready.iter().map(|p| run_point(p, &device)).collect();
+    let serial_s = serial_t0.elapsed().as_secs_f64();
 
-    // phase 2: the calendar queue, serially — the engine-level speedup
-    let serial_cal_t0 = Instant::now();
-    let cal_runs: Vec<(SimReport, f64)> = ready
-        .iter()
-        .map(|p| run_point(p, &device, QueueKind::Calendar))
-        .collect();
-    let serial_calendar_s = serial_cal_t0.elapsed().as_secs_f64();
-
-    for (i, ((hr, _), (cr, _))) in heap_runs.iter().zip(&cal_runs).enumerate() {
-        assert_eq!(
-            hr, cr,
-            "soak point {} ({}): calendar queue diverged from the binary heap",
-            i, ready[i].spec.label
-        );
-    }
-
-    // phase 3: the calendar queue across scoped worker threads — the
-    // sweep-level speedup. Workers take grid indices round-robin and
-    // write into disjoint slots, so collection order is deterministic.
+    // phase 2: across scoped worker threads — the sweep-level speedup.
+    // Workers take grid indices round-robin and write into disjoint
+    // slots, so collection order is deterministic.
     let par_t0 = Instant::now();
     let par_runs: Vec<Option<(SimReport, f64)>> = std::thread::scope(|scope| {
         let ready = &ready;
@@ -326,7 +292,7 @@ pub fn soak(cfg: &SoakConfig) -> SoakReport {
                 scope.spawn(move || {
                     (w..ready.len())
                         .step_by(threads)
-                        .map(|i| (i, run_point(&ready[i], device, QueueKind::Calendar)))
+                        .map(|i| (i, run_point(&ready[i], device)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -339,28 +305,27 @@ pub fn soak(cfg: &SoakConfig) -> SoakReport {
         }
         slots
     });
-    let parallel_calendar_s = par_t0.elapsed().as_secs_f64();
+    let parallel_s = par_t0.elapsed().as_secs_f64();
     for (i, slot) in par_runs.iter().enumerate() {
         let (pr, _) = slot.as_ref().expect("every grid point ran");
         assert_eq!(
-            pr, &heap_runs[i].0,
-            "soak point {} ({}): parallel calendar run diverged",
+            pr, &serial_runs[i].0,
+            "soak point {} ({}): parallel run diverged from the serial run",
             i, ready[i].spec.label
         );
     }
 
     let points: Vec<SoakPoint> = ready
         .iter()
-        .zip(heap_runs.iter().zip(&cal_runs))
-        .map(|(p, ((hr, hw), (_, cw)))| SoakPoint {
+        .zip(&serial_runs)
+        .map(|(p, (r, wall_s))| SoakPoint {
             label: p.spec.label,
             tenants: p.spec.tenants,
             requests_per_tenant: p.spec.requests,
             contended: p.spec.contended,
-            events: hr.events,
-            simulated_s: hr.makespan_s,
-            heap_wall_s: *hw,
-            calendar_wall_s: *cw,
+            events: r.events,
+            simulated_s: r.makespan_s,
+            wall_s: *wall_s,
         })
         .collect();
     SoakReport {
@@ -368,9 +333,8 @@ pub fn soak(cfg: &SoakConfig) -> SoakReport {
         threads,
         total_events: points.iter().map(|p| p.events).sum(),
         total_simulated_hours: points.iter().map(|p| p.simulated_s).sum::<f64>() / 3600.0,
-        serial_heap_s,
-        serial_calendar_s,
-        parallel_calendar_s,
+        serial_s,
+        parallel_s,
         points,
     }
 }
@@ -389,19 +353,9 @@ pub fn to_json(r: &SoakReport) -> String {
         "  \"total_simulated_hours\": {:.4},\n",
         r.total_simulated_hours
     ));
-    out.push_str(&format!("  \"serial_heap_s\": {:.4},\n", r.serial_heap_s));
-    out.push_str(&format!(
-        "  \"serial_calendar_s\": {:.4},\n",
-        r.serial_calendar_s
-    ));
-    out.push_str(&format!(
-        "  \"parallel_calendar_s\": {:.4},\n",
-        r.parallel_calendar_s
-    ));
-    out.push_str(&format!(
-        "  \"engine_speedup\": {:.3},\n",
-        r.engine_speedup()
-    ));
+    out.push_str(&format!("  \"serial_s\": {:.4},\n", r.serial_s));
+    out.push_str(&format!("  \"parallel_s\": {:.4},\n", r.parallel_s));
+    out.push_str(&format!("  \"events_per_s\": {:.0},\n", r.events_per_s()));
     out.push_str(&format!("  \"sweep_speedup\": {:.3},\n", r.sweep_speedup()));
     out.push_str("  \"bitwise_identical\": true,\n");
     out.push_str("  \"points\": [\n");
@@ -416,19 +370,10 @@ pub fn to_json(r: &SoakReport) -> String {
         out.push_str(&format!("      \"contended\": {},\n", p.contended));
         out.push_str(&format!("      \"events\": {},\n", p.events));
         out.push_str(&format!("      \"simulated_s\": {:.3},\n", p.simulated_s));
-        out.push_str(&format!("      \"heap_wall_s\": {:.4},\n", p.heap_wall_s));
+        out.push_str(&format!("      \"wall_s\": {:.4},\n", p.wall_s));
         out.push_str(&format!(
-            "      \"calendar_wall_s\": {:.4},\n",
-            p.calendar_wall_s
-        ));
-        out.push_str(&format!("      \"heap_eps\": {:.0},\n", p.heap_eps()));
-        out.push_str(&format!(
-            "      \"calendar_eps\": {:.0},\n",
-            p.calendar_eps()
-        ));
-        out.push_str(&format!(
-            "      \"engine_speedup\": {:.3}\n",
-            p.engine_speedup()
+            "      \"events_per_s\": {:.0}\n",
+            p.events_per_s()
         ));
         out.push_str(if i + 1 == r.points.len() {
             "    }\n"
@@ -444,7 +389,7 @@ pub fn to_json(r: &SoakReport) -> String {
 mod tests {
     use super::*;
 
-    /// A tiny soak exercises every phase, the bitwise asserts, and the
+    /// A tiny soak exercises both phases, the bitwise asserts, and the
     /// JSON writer. (The full grid is the benchmark's job, not CI's.)
     #[test]
     fn quick_soak_is_bitwise_clean_and_serializes() {
@@ -454,12 +399,10 @@ mod tests {
         assert_eq!(r.points.len(), 6);
         assert!(r.total_events > 0);
         assert!(r.points.iter().all(|p| p.simulated_s > 0.0));
+        assert!(r.points.iter().all(|p| p.events > 0 && p.wall_s > 0.0));
         let json = to_json(&r);
         assert!(json.contains("\"bitwise_identical\": true"));
         assert!(json.contains("resnet50/closed/uncontended/1t"));
-        assert_eq!(
-            json.matches("\"engine_speedup\"").count(),
-            r.points.len() + 1
-        );
+        assert_eq!(json.matches("\"events_per_s\"").count(), r.points.len() + 1);
     }
 }

@@ -36,7 +36,10 @@
 //! The result is provably optimal unless the optional time budget expires,
 //! in which case the incumbent is returned with
 //! [`ExactSolution::proven_optimal`] `= false` (mirroring an ILP solver's
-//! time-limited anytime behaviour). Tests certify optimality against
+//! time-limited anytime behaviour). The prunes assume stage costs that
+//! never fall as a segment grows, so a cost model with a negative or
+//! non-finite coefficient is searched all the same but never reported
+//! optimal. Tests certify optimality against
 //! exhaustive enumeration on small graphs; `tests/exact_oracle.rs` pins
 //! the search bitwise to a reference implementation.
 
@@ -99,8 +102,11 @@ pub struct ExactSolution {
     pub schedule: Schedule,
     /// Its bottleneck objective under the solver's cost model.
     pub objective: f64,
-    /// `true` when the search completed (the schedule is provably
-    /// optimal); `false` when the time budget expired first.
+    /// `true` when the search completed under a cost model whose
+    /// coefficients are both finite and `≥ 0` (the schedule is provably
+    /// optimal); `false` when the time budget expired first, or when a
+    /// negative, infinite or NaN coefficient voids the prunes, which
+    /// assume that a stage's cost never falls as its segment grows.
     pub proven_optimal: bool,
     /// Search states explored, a proxy for ILP branch count: every
     /// segment costed on the stages before the last. The last stage is
@@ -232,10 +238,13 @@ impl ExactScheduler {
         };
 
         debug_assert!(search.best.is_valid(dag));
+        let monotone = [self.model.sec_per_mac, self.model.sec_per_byte]
+            .iter()
+            .all(|c| c.is_finite() && *c >= 0.0);
         Ok(ExactSolution {
             objective: self.model.objective(dag, &search.best),
             schedule: search.best,
-            proven_optimal: !timed_out,
+            proven_optimal: !timed_out && monotone,
             states_explored: search.states,
         })
     }
@@ -724,6 +733,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn negative_coefficients_are_never_reported_optimal() {
+        // a negated byte cost makes a stage cheaper as its segment grows,
+        // which voids the prunes: from a packing-only warm start the
+        // search misses the optimum that exhaustive enumeration finds
+        let coral = CostModel::coral();
+        let model = CostModel {
+            sec_per_byte: -coral.sec_per_byte,
+            ..coral
+        };
+        let cfg = SyntheticConfig {
+            num_nodes: 12,
+            max_in_degree: 6,
+            ..SyntheticConfig::default()
+        };
+        let dag = SyntheticSampler::new(cfg, 1004).sample();
+        let sol = ExactScheduler::new(model)
+            .with_warmstart_moves(0)
+            .solve(&dag, 2)
+            .unwrap();
+        let brute_obj = brute::optimal_objective(&dag, 2, &model);
+        assert!(
+            sol.objective > brute_obj,
+            "exact {} vs brute {brute_obj}",
+            sol.objective
+        );
+        assert!(!sol.proven_optimal);
+        // NaN and infinite coefficients void them too; Coral's own
+        // coefficients do not
+        for bad in [f64::NAN, f64::INFINITY] {
+            let model = CostModel {
+                sec_per_mac: bad,
+                ..coral
+            };
+            assert!(
+                !ExactScheduler::new(model)
+                    .solve(&dag, 2)
+                    .unwrap()
+                    .proven_optimal
+            );
+        }
+        assert!(
+            ExactScheduler::new(coral)
+                .solve(&dag, 2)
+                .unwrap()
+                .proven_optimal
+        );
     }
 
     #[test]

@@ -343,7 +343,12 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
         solution: ExactSolution {
             objective: model.objective(dag, &best),
             schedule: best,
-            proven_optimal: !timed_out,
+            // the prunes assume costs that never fall as a segment grows
+            proven_optimal: !timed_out
+                && model.sec_per_mac.is_finite()
+                && model.sec_per_mac >= 0.0
+                && model.sec_per_byte.is_finite()
+                && model.sec_per_byte >= 0.0,
             states_explored: states,
         },
         last_boundaries,

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use respect_tpu::device::DeviceSpec;
 use respect_tpu::energy::{self, EnergyTotals};
-use respect_tpu::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
+use respect_tpu::event_queue::{CalendarQueue, EventQueue};
 use respect_tpu::probe::{EngineInspect, EngineKind, EngineSnapshot, NullProbe, Probe, ProbeEvent};
 use serde::{Deserialize, Serialize};
 
@@ -158,9 +158,6 @@ pub struct FleetConfig {
     /// Record exact per-request completion records in
     /// [`TenantServeReport::completions`].
     pub record_completions: bool,
-    /// Pending-event set implementation — switches speed, never
-    /// results.
-    pub queue: QueueKind,
 }
 
 impl FleetConfig {
@@ -174,7 +171,6 @@ impl FleetConfig {
             autoscale: None,
             contended_bus: false,
             record_completions: false,
-            queue: QueueKind::default(),
         }
     }
 
@@ -210,13 +206,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_completions(mut self) -> Self {
         self.record_completions = true;
-        self
-    }
-
-    /// Replaces the pending-event set implementation.
-    #[must_use]
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -388,10 +377,10 @@ const UNROUTED: u16 = u16::MAX;
 
 /// The fleet driver: N [`ChainEngine`]s, one clock, one pending-event
 /// set, a router, and the autoscaler.
-struct FleetEngine<'a, Q, P> {
+struct FleetEngine<'a, P> {
     tenants: &'a [ServeTenant],
     cfg: &'a FleetConfig,
-    queue: Q,
+    queue: CalendarQueue<Event>,
     chains: Vec<ChainEngine<'a>>,
     recs: Vec<TenantRecords>,
     /// `routed[w][r]`: chain index request `r` of tenant `w` was
@@ -416,7 +405,7 @@ struct FleetEngine<'a, Q, P> {
     probe: &'a mut P,
 }
 
-impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
+impl<'a, P: Probe> FleetEngine<'a, P> {
     fn new(tenants: &'a [ServeTenant], cfg: &'a FleetConfig, probe: &'a mut P) -> Self {
         let n = cfg.chains.len();
         let active = cfg.autoscale.map_or(n, |pol| pol.min_chains.min(n));
@@ -433,7 +422,7 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
         FleetEngine {
             tenants,
             cfg,
-            queue: Q::default(),
+            queue: CalendarQueue::default(),
             chains,
             recs: tenants.iter().map(TenantRecords::new).collect(),
             routed: tenants.iter().map(|t| vec![UNROUTED; t.requests]).collect(),
@@ -724,7 +713,7 @@ impl<'a, Q: EventQueue<Event>, P: Probe> FleetEngine<'a, Q, P> {
     }
 }
 
-impl<Q, P> EngineInspect for FleetEngine<'_, Q, P> {
+impl<P> EngineInspect for FleetEngine<'_, P> {
     fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             kind: EngineKind::Fleet,
@@ -842,12 +831,5 @@ pub fn serve_fleet_probed<P: Probe>(
 ) -> Result<FleetReport, ServeError> {
     validate_tenants(tenants)?;
     validate_fleet(cfg)?;
-    Ok(match cfg.queue {
-        QueueKind::BinaryHeap => {
-            FleetEngine::<BinaryHeapQueue<Event>, P>::new(tenants, cfg, probe).run()
-        }
-        QueueKind::Calendar => {
-            FleetEngine::<CalendarQueue<Event>, P>::new(tenants, cfg, probe).run()
-        }
-    })
+    Ok(FleetEngine::new(tenants, cfg, probe).run())
 }

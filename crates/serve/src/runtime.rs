@@ -44,7 +44,7 @@ use std::fmt;
 
 use respect_tpu::compile::CompiledPipeline;
 use respect_tpu::device::DeviceSpec;
-use respect_tpu::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
+use respect_tpu::event_queue::{CalendarQueue, EventQueue};
 use respect_tpu::probe::{EngineInspect, EngineSnapshot, NullProbe, Probe, ProbeEvent};
 use respect_tpu::sim::{Arrivals, CompletionRecord, SimError};
 use serde::{Deserialize, Serialize};
@@ -305,10 +305,6 @@ pub struct ServeConfig {
     /// Record exact per-request completion records in
     /// [`TenantServeReport::completions`].
     pub record_completions: bool,
-    /// Pending-event set implementation (as [`respect_tpu::sim::SimConfig::queue`]).
-    /// Pop order is identical for every [`QueueKind`], so this switches
-    /// raw engine speed, never results.
-    pub queue: QueueKind,
 }
 
 impl ServeConfig {
@@ -318,7 +314,6 @@ impl ServeConfig {
         ServeConfig {
             contended_bus: false,
             record_completions: false,
-            queue: QueueKind::default(),
         }
     }
 
@@ -328,7 +323,6 @@ impl ServeConfig {
         ServeConfig {
             contended_bus: true,
             record_completions: false,
-            queue: QueueKind::default(),
         }
     }
 
@@ -336,13 +330,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_completions(mut self) -> Self {
         self.record_completions = true;
-        self
-    }
-
-    /// Replaces the pending-event set implementation.
-    #[must_use]
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -605,10 +592,10 @@ pub(crate) fn tenant_report(
 
 /// The single-chain driver: one [`ChainEngine`] (index 0), one clock,
 /// one pending-event set.
-struct Driver<'a, Q, P> {
+struct Driver<'a, P> {
     tenants: &'a [ServeTenant],
     cfg: ServeConfig,
-    queue: Q,
+    queue: CalendarQueue<Event>,
     chain: ChainEngine<'a>,
     recs: Vec<TenantRecords>,
     events: u64,
@@ -616,7 +603,7 @@ struct Driver<'a, Q, P> {
     probe: &'a mut P,
 }
 
-impl<'a, Q: EventQueue<Event>, P: Probe> Driver<'a, Q, P> {
+impl<'a, P: Probe> Driver<'a, P> {
     fn new(
         tenants: &'a [ServeTenant],
         spec: &DeviceSpec,
@@ -626,7 +613,7 @@ impl<'a, Q: EventQueue<Event>, P: Probe> Driver<'a, Q, P> {
         Driver {
             tenants,
             cfg,
-            queue: Q::default(),
+            queue: CalendarQueue::default(),
             chain: ChainEngine::new(tenants, *spec, cfg.contended_bus, 0),
             recs: tenants.iter().map(TenantRecords::new).collect(),
             events: 0,
@@ -742,7 +729,7 @@ impl<'a, Q: EventQueue<Event>, P: Probe> Driver<'a, Q, P> {
     }
 }
 
-impl<Q, P> EngineInspect for Driver<'_, Q, P> {
+impl<P> EngineInspect for Driver<'_, P> {
     fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             now_s: self.now,
@@ -870,12 +857,5 @@ pub fn serve_probed<P: Probe>(
 ) -> Result<ServeReport, ServeError> {
     validate_tenants(tenants)?;
     spec.validate().map_err(ServeError::Spec)?;
-    Ok(match cfg.queue {
-        QueueKind::BinaryHeap => {
-            Driver::<BinaryHeapQueue<Event>, P>::new(tenants, spec, *cfg, probe).run()
-        }
-        QueueKind::Calendar => {
-            Driver::<CalendarQueue<Event>, P>::new(tenants, spec, *cfg, probe).run()
-        }
-    })
+    Ok(Driver::new(tenants, spec, *cfg, probe).run())
 }

@@ -1,56 +1,54 @@
-//! Pending-event set implementations for the discrete-event engines.
+//! The pending-event set of the discrete-event engines.
 //!
 //! Both engines in this workspace ([`crate::sim`] and the serving
 //! runtime in `respect_serve`) drain a priority queue of timestamped
 //! events, totally ordered by `(time, insertion sequence)` with
 //! [`f64::total_cmp`] on the time — the ordering that makes every run
-//! bitwise deterministic. This module extracts that queue behind the
-//! [`EventQueue`] trait so the engines can swap implementations without
-//! touching event semantics:
+//! bitwise deterministic. [`CalendarQueue`] is that queue at every
+//! depth, in two tiers (the shape of the ladder queue, Tang, Goh & Thng
+//! 2005):
 //!
-//! * [`BinaryHeapQueue`] — the seed implementation, a
-//!   `BinaryHeap<Reverse<_>>`. `O(log n)` per operation with `~2 log n`
-//!   entry moves per pop.
-//! * [`CalendarQueue`] — a calendar queue (Brown 1988): time is divided
-//!   into fixed-width *years* mapped onto a power-of-two ring of
-//!   buckets; a cursor walks the ring popping the current year's
-//!   events. DES time advances almost monotonically, so pushes append
-//!   at bucket tails and pops peel from bucket heads — amortized
-//!   `O(1)` each, and the entries of the near future stay hot in
-//!   cache.
+//! * **a sorted front run** holds every entry while at most `SPILL`
+//!   (48) are pending — a few tenants on one chain, the `sim` and
+//!   single-chain serving regime. It is kept in reverse pop order, so
+//!   a pop takes the last element and a push moves up only the entries
+//!   that pop before it (on the `sim` benchmark, 0.5 per push with 3
+//!   pending). No bucket walk and no width estimate.
+//! * **a calendar ring** (Brown 1988) takes over past that: time is
+//!   divided into fixed-width *years* mapped onto a power-of-two ring
+//!   of buckets, and a cursor walks the ring popping the current
+//!   year's events — amortized `O(1)` per operation however deep the
+//!   set grows (a fleet's thousands of tenant timers).
 //!
-//! The two implementations are differential-tested to produce
-//! *identical* pop sequences on random streams — including ties, dense
-//! same-time bursts, `+inf` timestamps, and pushes behind the cursor —
-//! in `crates/tpu/tests/event_queue_props.rs`. Engines select an
-//! implementation via [`QueueKind`]; the calendar queue is the default.
+//! The run spills into the ring through the ring's rebuild, which then
+//! estimates the year width from enough entries, and a ring that drains
+//! below `COLLAPSE` (12) entries collapses back into the run. The two
+//! thresholds apart keep a set that hovers near one of them from
+//! migrating on every operation. Both moves migrate entries in pop
+//! order, so time ties stay in push order (FIFO).
+//!
+//! The engines are generic over the [`EventQueue`] trait so tests can
+//! run them on the binary-heap reference in
+//! `crates/tpu/tests/support/heap_queue.rs`; the queue must produce the
+//! reference's pop sequence bitwise on any stream (differential-tested
+//! in `crates/tpu/tests/event_queue_props.rs`, also across spills and
+//! collapses).
 //!
 //! Timestamps must not be `NaN` (debug-asserted): a `NaN` deadline is
 //! always an upstream bug, and the engines validate their inputs before
 //! any event is scheduled.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
-/// Which [`EventQueue`] implementation an engine runs on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The seed `BinaryHeap<Reverse<_>>` implementation.
-    BinaryHeap,
-    /// The calendar-queue implementation (default).
-    #[default]
-    Calendar,
-}
+use std::cmp::Ordering;
 
 /// A priority queue of `(time, payload)` events, popped in
 /// `(time, insertion sequence)` order with [`f64::total_cmp`] on the
 /// time.
 ///
-/// The insertion sequence is assigned internally: the `i`-th push ever
-/// made gets sequence `i`, so ties in time pop in push order (FIFO).
-/// Every implementation must produce the exact same pop sequence for
-/// the same push/pop interleaving — the engines' bitwise-determinism
-/// guarantee rests on it.
+/// The insertion sequence is implicit: the `i`-th push ever made has
+/// sequence `i`, so ties in time pop in push order (FIFO). Every
+/// implementation must produce the exact same pop sequence for the same
+/// push/pop interleaving — the engines' bitwise-determinism guarantee
+/// rests on it.
 pub trait EventQueue<K>: Default {
     /// Schedules `kind` at time `t`. `t` must not be `NaN`.
     fn push(&mut self, t: f64, kind: K);
@@ -67,101 +65,35 @@ pub trait EventQueue<K>: Default {
     }
 }
 
-/// One scheduled event in the heap: the explicit insertion sequence
-/// breaks time ties, because a binary heap is not insertion-stable.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry<K> {
-    t: f64,
-    seq: u64,
-    kind: K,
-}
-
-impl<K> HeapEntry<K> {
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.t
-            .total_cmp(&other.t)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-/// [`EventQueue`] over `std::collections::BinaryHeap` — the seed
-/// engine's implementation, kept as the differential baseline.
-#[derive(Debug, Clone)]
-pub struct BinaryHeapQueue<K> {
-    heap: BinaryHeap<Reverse<HeapOrd<K>>>,
-    seq: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapOrd<K>(HeapEntry<K>);
-
-impl<K> PartialEq for HeapOrd<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.cmp_key(&other.0) == Ordering::Equal
-    }
-}
-
-impl<K> Eq for HeapOrd<K> {}
-
-impl<K> PartialOrd for HeapOrd<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K> Ord for HeapOrd<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp_key(&other.0)
-    }
-}
-
-impl<K> Default for BinaryHeapQueue<K> {
-    fn default() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<K> EventQueue<K> for BinaryHeapQueue<K> {
-    #[inline]
-    fn push(&mut self, t: f64, kind: K) {
-        debug_assert!(!t.is_nan(), "event time must not be NaN");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(HeapOrd(HeapEntry { t, seq, kind })));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(f64, K)> {
-        self.heap.pop().map(|Reverse(HeapOrd(e))| (e.t, e.kind))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
+/// Live entries the front run holds at most; one more spills it into
+/// the ring. Deep enough that a handful of tenants on one chain (about
+/// 4–10 pending events) never reach the ring, and enough entries for
+/// the ring's width estimate.
+const SPILL: usize = 48;
+/// Ring occupancy below which the ring collapses back into the run.
+const COLLAPSE: usize = 12;
 /// Ring size the calendar starts with and never shrinks below.
 const MIN_BUCKETS: usize = 16;
 /// Ring size cap: beyond this, buckets just get denser.
 const MAX_BUCKETS: usize = 1 << 16;
-/// Entries per bucket (on average) that trigger a ring growth.
-const GROW_PER_BUCKET: usize = 4;
-/// Year width the queue starts with, seconds. Recalibrated from the
-/// live entry distribution at every rebuild.
+/// Entries per bucket (on average) that trigger a ring growth: two, as
+/// in Brown's sizing rule (four ran the 1 024- and 4 096-tenant soak
+/// points slower).
+const GROW_PER_BUCKET: usize = 2;
+/// Year width the ring starts with, seconds, until a rebuild estimates
+/// one from the live entry distribution.
 const INITIAL_WIDTH_S: f64 = 1e-4;
 /// Pops between cursor-efficiency checks.
 const CALIBRATE_POPS: u32 = 1024;
 
-/// One scheduled event in the calendar. No sequence number: FIFO tie
-/// order falls out structurally. Equal times map to the same epoch and
-/// therefore the same bucket, inserts past equal-time entries keep
-/// buckets insertion-stable, and [`CalendarQueue::rebuild`] uses a
-/// stable sort — so ties always sit in push order. Keeping the entry
-/// at `16 + size_of::<K>()` bytes matters: at fleet scale the pending
-/// set outgrows L1 and queue throughput is memory-bound.
+/// One scheduled event. No sequence number: FIFO tie order falls out
+/// structurally. The run and every bucket place a new entry behind
+/// the entries of equal time in pop order, equal times map to the same
+/// epoch and therefore the same bucket, and migrations between run and
+/// ring keep pop order — so ties always sit in push order. Keeping the
+/// entry at `8 + size_of::<K>()` bytes (24 with the engines' 12- and
+/// 16-byte payloads) matters: at fleet scale the pending set outgrows
+/// L1 and queue throughput is memory-bound.
 #[derive(Debug, Clone, Copy)]
 struct CalEntry<K> {
     t: f64,
@@ -203,33 +135,34 @@ impl<K> Bucket<K> {
     }
 }
 
-/// [`EventQueue`] as a calendar queue: a power-of-two ring of buckets,
-/// each covering one fixed-width *year* of simulated time per lap of
-/// the cursor.
+/// The engines' [`EventQueue`]: a sorted front run while few events
+/// are pending, a calendar ring past that (see the [module
+/// docs](self)).
 ///
-/// An entry at time `t` lives in bucket `epoch(t) & mask` where
-/// `epoch(t) = t / width` truncated, kept sorted ascending by time —
-/// in the DES workload pushes are near-monotone in time, so insertion
-/// is almost always an append. The cursor `cur_epoch` maintains the
-/// invariant that no live entry has an earlier year; the head of the
-/// cursor's bucket is therefore the global minimum whenever its year
-/// matches, making pops `O(1)`. When the current year is exhausted the
-/// cursor steps forward bucket-by-bucket; after a full fruitless lap
-/// (a long empty gap in simulated time) it jumps straight to the
-/// earliest bucket head. Non-finite and far-future times saturate into
-/// the last year and are found by the same jump, so `+inf` deadlines
-/// are legal.
+/// In the ring, an entry at time `t` lives in bucket `epoch(t) & mask`
+/// where `epoch(t) = t / width` truncated, kept sorted ascending by
+/// time — in the DES workload pushes are near-monotone in time, so
+/// insertion is almost always an append. The cursor `cur_epoch`
+/// maintains the invariant that no live entry has an earlier year; the
+/// head of the cursor's bucket is therefore the global minimum
+/// whenever its year matches, making pops `O(1)`. When the current
+/// year is exhausted the cursor steps forward bucket-by-bucket; after a
+/// full fruitless lap (a long empty gap in simulated time) it jumps
+/// straight to the earliest bucket head. Non-finite and far-future
+/// times saturate into the last year and are found by the same jump,
+/// so `+inf` deadlines are legal.
 ///
 /// Epochs are recomputed from `t` wherever needed rather than stored:
 /// the width only changes inside the internal rebuild, which
 /// re-buckets every live entry under the new width, so the mapping is
 /// consistent across an entry's whole lifetime.
 ///
-/// The ring grows when occupancy passes a per-bucket threshold
-/// and the year width is re-estimated from the live entry spacing at
-/// every rebuild, as well as whenever the cursor spends most of its
-/// time stepping over empty buckets. All adaptation depends only on
-/// the operation sequence, preserving bitwise determinism.
+/// The ring grows when occupancy passes a per-bucket threshold, and the
+/// year width is re-estimated from the live entry spacing at every
+/// rebuild (the spill included), as well as whenever the cursor spends
+/// most of its time stepping over empty buckets. All adaptation
+/// depends only on the operation sequence, preserving bitwise
+/// determinism.
 ///
 /// ```
 /// use respect_tpu::event_queue::{CalendarQueue, EventQueue};
@@ -243,6 +176,11 @@ impl<K> Bucket<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<K> {
+    /// Every live entry while the ring is empty, in reverse pop order
+    /// (descending by time, the latest push first among ties), so the
+    /// head pops off the end; empty while the ring holds entries.
+    run: Vec<CalEntry<K>>,
+    /// The ring: a power-of-two number of buckets.
     buckets: Vec<Bucket<K>>,
     /// `buckets.len() - 1` (power-of-two ring).
     mask: u64,
@@ -251,10 +189,12 @@ pub struct CalendarQueue<K> {
     /// `1.0 / width`, cached so the per-push year computation is a
     /// multiply instead of a divide.
     inv_width: f64,
-    /// The cursor: no live entry has `epoch < cur_epoch`.
+    /// The cursor: no ring entry has `epoch < cur_epoch`.
     cur_epoch: u64,
-    len: usize,
-    /// Live entries at which the next push triggers a ring growth.
+    /// Entries in the ring: `0` while the run holds every entry, at
+    /// least `COLLAPSE` otherwise.
+    ring_len: usize,
+    /// Ring entries at which the next push triggers a ring growth.
     grow_at: usize,
     /// Pops since the last cursor-efficiency check.
     pops_tick: u32,
@@ -265,12 +205,13 @@ pub struct CalendarQueue<K> {
 impl<K> Default for CalendarQueue<K> {
     fn default() -> Self {
         CalendarQueue {
+            run: Vec::new(),
             buckets: (0..MIN_BUCKETS).map(|_| Bucket::default()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
             width: INITIAL_WIDTH_S,
             inv_width: 1.0 / INITIAL_WIDTH_S,
             cur_epoch: 0,
-            len: 0,
+            ring_len: 0,
             grow_at: MIN_BUCKETS * GROW_PER_BUCKET,
             pops_tick: 0,
             steps_tick: 0,
@@ -288,6 +229,21 @@ impl<K: Copy> CalendarQueue<K> {
     #[inline]
     fn epoch_of(&self, t: f64) -> u64 {
         epoch_for(self.inv_width, t)
+    }
+
+    /// Inserts `e` into the run: the entries that pop before it (not
+    /// later than it — on a time tie the older entry pops first, keeping
+    /// FIFO order) each shift one slot toward the end.
+    #[inline]
+    fn push_run(&mut self, e: CalEntry<K>) {
+        self.run.push(e);
+        let run = self.run.as_mut_slice();
+        let mut i = run.len() - 1;
+        while i > 0 && run[i - 1].t.total_cmp(&e.t) != Ordering::Greater {
+            run[i] = run[i - 1];
+            i -= 1;
+        }
+        run[i] = e;
     }
 
     #[inline]
@@ -317,24 +273,41 @@ impl<K: Copy> CalendarQueue<K> {
                 b.items.push(e);
             }
         }
-        self.len += 1;
+        self.ring_len += 1;
+    }
+
+    /// Moves every ring entry into the (empty) run, in reverse pop
+    /// order: equal times share a bucket, where they sit in push order,
+    /// so a stable sort by time puts them in pop order, and reversing it
+    /// gives the run's order.
+    fn collapse(&mut self) {
+        for b in &mut self.buckets {
+            self.run.extend(b.items.drain(b.head..));
+            b.head = 0;
+            b.items.clear();
+        }
+        self.run.sort_by(|a, b| a.t.total_cmp(&b.t));
+        self.run.reverse();
+        self.ring_len = 0;
     }
 
     /// Rebuilds the ring with `target_buckets` buckets (clamped and
-    /// rounded to a power of two), re-estimating the year width from
-    /// the live entry spacing.
+    /// rounded to a power of two) from every live entry, re-estimating
+    /// the year width from the live entry spacing.
     fn rebuild(&mut self, target_buckets: usize) {
         let n = target_buckets
             .clamp(MIN_BUCKETS, MAX_BUCKETS)
             .next_power_of_two();
-        let mut live: Vec<CalEntry<K>> = Vec::with_capacity(self.len);
+        // every live entry in pop order: the run reversed, then the
+        // ring's buckets (at most one of the two holds entries), merged
+        // by a stable sort — ties share a bucket in push order
+        let mut live: Vec<CalEntry<K>> = Vec::with_capacity(self.len());
+        live.extend(self.run.drain(..).rev());
         for b in &mut self.buckets {
             live.extend(b.items.drain(b.head..));
             b.head = 0;
             b.items.clear();
         }
-        // stable: time ties stay in collection order, which is their
-        // push order (ties always share one bucket)
         live.sort_by(|a, b| a.t.total_cmp(&b.t));
         if let Some(w) = estimate_width(&live) {
             self.width = w;
@@ -345,22 +318,15 @@ impl<K: Copy> CalendarQueue<K> {
             self.mask = (n - 1) as u64;
         }
         self.grow_at = n * GROW_PER_BUCKET;
-        self.len = 0;
-        self.cur_epoch = 0;
+        self.ring_len = 0;
+        self.cur_epoch = live.first().map_or(0, |e| self.epoch_of(e.t));
         for e in live {
             // ascending time order makes every re-insert an append
             self.push_entry(e);
         }
-        self.cur_epoch = self
-            .buckets
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| self.epoch_of(b.front_t))
-            .min()
-            .unwrap_or(0);
     }
 
-    /// Pops the head of the bucket holding the globally earliest entry
+    /// Pops the head of the bucket holding the ring's earliest entry
     /// and jumps the cursor to its year. `O(buckets)`; the escape hatch
     /// for long empty stretches of simulated time. No cross-bucket time
     /// tie exists (equal times share a bucket), so comparing bucket
@@ -373,7 +339,7 @@ impl<K: Copy> CalendarQueue<K> {
             .filter(|(_, b)| !b.is_empty())
             .min_by(|(_, a), (_, b)| a.front_t.total_cmp(&b.front_t))
             .map(|(i, _)| i)
-            .expect("pop_earliest on non-empty queue");
+            .expect("pop_earliest on a non-empty ring");
         let b = &mut self.buckets[idx];
         let e = b.items[b.head];
         b.head += 1;
@@ -384,7 +350,7 @@ impl<K: Copy> CalendarQueue<K> {
             b.front_t = b.items[b.head].t;
         }
         self.cur_epoch = self.epoch_of(e.t);
-        self.len -= 1;
+        self.ring_len -= 1;
         (e.t, e.kind)
     }
 }
@@ -440,16 +406,26 @@ impl<K: Copy> EventQueue<K> for CalendarQueue<K> {
     #[inline]
     fn push(&mut self, t: f64, kind: K) {
         debug_assert!(!t.is_nan(), "event time must not be NaN");
-        if self.len >= self.grow_at && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
+        let e = CalEntry { t, kind };
+        if self.ring_len != 0 {
+            if self.ring_len >= self.grow_at && self.buckets.len() < MAX_BUCKETS {
+                self.rebuild(self.buckets.len() * 2);
+            }
+            self.push_entry(e);
+            return;
         }
-        self.push_entry(CalEntry { t, kind });
+        self.push_run(e);
+        if self.run.len() > SPILL {
+            // spill into a ring sized as a growth would size it; it
+            // estimates its year width from the run
+            self.rebuild(SPILL / GROW_PER_BUCKET);
+        }
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(f64, K)> {
-        if self.len == 0 {
-            return None;
+        if self.ring_len == 0 {
+            return self.run.pop().map(|e| (e.t, e.kind));
         }
         let mut steps = 0u32;
         let inv_width = self.inv_width;
@@ -469,7 +445,7 @@ impl<K: Copy> EventQueue<K> for CalendarQueue<K> {
                 } else {
                     b.front_t = b.items[b.head].t;
                 }
-                self.len -= 1;
+                self.ring_len -= 1;
                 break (e.t, e.kind);
             }
             self.cur_epoch = self.cur_epoch.saturating_add(1);
@@ -477,10 +453,13 @@ impl<K: Copy> EventQueue<K> for CalendarQueue<K> {
         };
         self.pops_tick += 1;
         self.steps_tick = self.steps_tick.saturating_add(steps);
-        if self.pops_tick >= CALIBRATE_POPS {
+        if self.ring_len < COLLAPSE {
+            // few enough entries for the run again
+            self.collapse();
+        } else if self.pops_tick >= CALIBRATE_POPS {
             // cursor mostly stepping over empty buckets: years are too
             // narrow for the live event density — re-estimate the width
-            if self.steps_tick > 4 * CALIBRATE_POPS && self.len >= 2 {
+            if self.steps_tick > 4 * CALIBRATE_POPS {
                 self.rebuild(self.buckets.len());
             }
             self.pops_tick = 0;
@@ -490,12 +469,17 @@ impl<K: Copy> EventQueue<K> for CalendarQueue<K> {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.run.len() + self.ring_len
     }
 }
 
 #[cfg(test)]
+#[path = "../tests/support/heap_queue.rs"]
+pub(crate) mod heap_queue;
+
+#[cfg(test)]
 mod tests {
+    use super::heap_queue::BinaryHeapQueue;
     use super::*;
 
     /// Drives both implementations through the same operation sequence
@@ -552,28 +536,41 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Pushes `times` in order, drains the queue, and checks the pops
+    /// against a stable sort by time (ties in push order).
+    fn drains_sorted(times: &[f64]) {
+        let mut q = CalendarQueue::default();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i);
+        }
+        let mut want: Vec<(f64, usize)> = times.iter().copied().zip(0..).collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let want: Vec<(u64, usize)> = want.iter().map(|&(t, i)| (t.to_bits(), i)).collect();
+        let got: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, i)| (t.to_bits(), i))
+            .collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn infinity_sorts_last_and_negative_zero_first() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::default();
-        q.push(f64::INFINITY, 0);
-        q.push(0.0, 1);
-        q.push(-0.0, 2);
-        q.push(3.0, 3);
-        // total_cmp: -0.0 < 0.0 < 3.0 < +inf
-        assert_eq!(q.pop(), Some((-0.0, 2)));
-        assert_eq!(q.pop(), Some((0.0, 1)));
-        assert_eq!(q.pop(), Some((3.0, 3)));
-        assert_eq!(q.pop(), Some((f64::INFINITY, 0)));
+        // total_cmp: -0.0 < 0.0 < 3.0 < +inf; in the run, and in a ring
+        // that 64 more entries spill it into
+        let edge = [f64::INFINITY, 0.0, -0.0, 3.0];
+        drains_sorted(&edge);
+        let spilled: Vec<f64> = edge.into_iter().chain((0..64).map(f64::from)).collect();
+        drains_sorted(&spilled);
     }
 
     #[test]
     fn long_empty_gaps_jump_instead_of_stepping_forever() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::default();
-        // gap of ~10^9 years at the default width
-        q.push(0.0, 0);
-        q.push(1.0e5, 1);
-        assert_eq!(q.pop(), Some((0.0, 0)));
-        assert_eq!(q.pop(), Some((1.0e5, 1)));
+        // gap of ~10^9 years at the initial width, in the run, and in a
+        // ring that still holds 32 entries on the far side of the gap
+        drains_sorted(&[0.0, 1.0e5]);
+        let spilled: Vec<f64> = (0..64)
+            .map(|i| f64::from(i) * 1e-6 + if i % 2 == 0 { 0.0 } else { 1.0e5 })
+            .collect();
+        drains_sorted(&spilled);
     }
 
     #[test]

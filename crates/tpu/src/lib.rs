@@ -19,10 +19,10 @@
 //!   contention, and the stage walk over them;
 //! * [`sim`] — the deterministic discrete-event engine over that core:
 //!   open/closed-loop arrivals, batching, and multi-tenant co-residency;
-//! * [`event_queue`] — the pending-event set behind the engine: the
-//!   [`EventQueue`] trait with binary-heap and
-//!   calendar-queue implementations, differential-tested to pop
-//!   identical `(time, seq)` sequences;
+//! * [`event_queue`] — the pending-event set behind the engine:
+//!   [`CalendarQueue`], a sorted front run ahead of a calendar ring,
+//!   behind the [`EventQueue`] trait, differential-tested against a
+//!   binary-heap reference to pop identical `(time, seq)` sequences;
 //! * [`mem`] — allocation-lean containers (inline FIFO rings, inline
 //!   vectors, a deterministic slab) for the event hot path;
 //! * [`probe`] — zero-cost observability hooks: the [`Probe`] trait and
@@ -67,7 +67,7 @@ pub mod usb;
 
 pub use compile::{CompiledPipeline, EdgeTpuCompiler, Segment};
 pub use device::DeviceSpec;
-pub use event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
+pub use event_queue::{CalendarQueue, EventQueue};
 pub use exec::InferenceReport;
 pub use probe::{NullProbe, Probe, ProbeEvent, ShedReason};
 pub use sim::{

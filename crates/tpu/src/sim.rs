@@ -31,9 +31,9 @@
 //! drives too; this module is its raw driver, with one request per job.
 //!
 //! The engine is bitwise deterministic: events are ordered by
-//! `(time, insertion sequence)` in a pluggable [`EventQueue`]
-//! implementation (see [`SimConfig::queue`] — a calendar queue by
-//! default, with the seed binary heap as the differential baseline),
+//! `(time, insertion sequence)` in a [`CalendarQueue`] (a sorted front
+//! run while few events are pending, a calendar ring past that; tests
+//! run the engine on a binary-heap reference too),
 //! all queues are FIFO, and the only randomness is the seeded Poisson
 //! sampler from the `rand` shim. With an uncontended bus, a single
 //! closed-loop unbatched tenant reproduces the analytic recurrence
@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 use crate::chain::{Chain, JobId, JobTable, StageEvent, StageTiming};
 use crate::compile::{CompiledPipeline, Segment};
 use crate::device::DeviceSpec;
-use crate::event_queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
+use crate::event_queue::{CalendarQueue, EventQueue};
 use crate::probe::{
     ChainSnapshot, EngineInspect, EngineKind, EngineSnapshot, NullProbe, Probe, ProbeEvent,
     TenantSnapshot,
@@ -492,10 +492,6 @@ pub struct SimConfig {
     /// request count). The percentile layer of `respect_serve` is
     /// computed from these records.
     pub record_completions: bool,
-    /// Pending-event set implementation. The pop order is identical for
-    /// every [`QueueKind`] (differential-tested), so this switches raw
-    /// engine speed, never results.
-    pub queue: QueueKind,
 }
 
 impl SimConfig {
@@ -505,7 +501,6 @@ impl SimConfig {
         SimConfig {
             contended_bus: false,
             record_completions: false,
-            queue: QueueKind::default(),
         }
     }
 
@@ -515,7 +510,6 @@ impl SimConfig {
         SimConfig {
             contended_bus: true,
             record_completions: false,
-            queue: QueueKind::default(),
         }
     }
 
@@ -523,13 +517,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_completions(mut self) -> Self {
         self.record_completions = true;
-        self
-    }
-
-    /// Replaces the pending-event set implementation.
-    #[must_use]
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -715,6 +702,9 @@ struct Tenant {
     sampler: ArrivalSampler,
 }
 
+/// The event loop, generic over its pending-event set so tests can run
+/// it on the binary-heap reference; [`run`] runs it on a
+/// [`CalendarQueue`].
 struct Engine<'a, Q, P> {
     workloads: &'a [WorkloadView<'a>],
     cfg: SimConfig,
@@ -1062,14 +1052,7 @@ fn run_views<P: Probe>(
         limit("requests", wl.requests, u32::MAX as usize)?;
         limit("stages", wl.stages(), usize::from(u16::MAX))?;
     }
-    Ok(match cfg.queue {
-        QueueKind::BinaryHeap => {
-            Engine::<BinaryHeapQueue<EventKind>, P>::new(workloads, spec, *cfg, probe).run()
-        }
-        QueueKind::Calendar => {
-            Engine::<CalendarQueue<EventKind>, P>::new(workloads, spec, *cfg, probe).run()
-        }
-    })
+    Ok(Engine::<CalendarQueue<EventKind>, P>::new(workloads, spec, *cfg, probe).run())
 }
 
 /// [`SimError::TooLarge`] when `count` exceeds `max`.
@@ -1084,6 +1067,7 @@ fn limit(what: &'static str, count: usize, max: usize) -> Result<(), SimError> {
 mod tests {
     use super::*;
     use crate::compile;
+    use crate::event_queue::heap_queue::BinaryHeapQueue;
     use crate::probe::SpanProbe;
     use respect_graph::models;
     use respect_sched::{balanced::ParamBalanced, Scheduler};
@@ -1420,28 +1404,48 @@ mod tests {
     }
 
     #[test]
-    fn queue_kinds_produce_bitwise_identical_reports() {
+    fn calendar_queue_matches_the_heap_reference_across_spills() {
         let (p, spec) = pipeline(4);
-        let mk = |queue| {
-            let wls = vec![
-                Workload::new(p.clone(), 200)
-                    .with_arrivals(Arrivals::Poisson {
-                        rate: 300.0,
-                        seed: 11,
-                    })
-                    .with_batch(2)
-                    .with_warmup(10),
-                Workload::closed_loop(p.clone(), 150),
-            ];
-            let cfg = SimConfig::contended().with_completions().with_queue(queue);
+        let cfg = SimConfig::contended().with_completions();
+        // two tenants keep the pending set in the queue's front run; 64
+        // Poisson tenants hold one arrival timer each, which spills it
+        // into the ring, and finishing at staggered times they drain it
+        // back below the collapse threshold while events still flow
+        let two = vec![
+            Workload::new(p.clone(), 200)
+                .with_arrivals(Arrivals::Poisson {
+                    rate: 300.0,
+                    seed: 11,
+                })
+                .with_batch(2)
+                .with_warmup(10),
+            Workload::closed_loop(p.clone(), 150),
+        ];
+        let many: Vec<Workload> = (0..64)
+            .map(|i| {
+                Workload::new(p.clone(), 10 + 3 * i).with_arrivals(Arrivals::Poisson {
+                    rate: 20.0,
+                    seed: 100 + i as u64,
+                })
+            })
+            .collect();
+        for wls in [two, many] {
             let mut probe = SpanProbe::new();
             let report = run_probed(&wls, &spec, &cfg, &mut probe).unwrap();
-            (report, probe.spans().to_vec())
-        };
-        let heap = mk(QueueKind::BinaryHeap);
-        let calendar = mk(QueueKind::Calendar);
-        assert!(!heap.1.is_empty());
-        assert_eq!(heap, calendar, "engine results are queue-independent");
+            let views: Vec<WorkloadView<'_>> = wls.iter().map(WorkloadView::of).collect();
+            let mut heap_probe = SpanProbe::new();
+            let heap =
+                Engine::<BinaryHeapQueue<EventKind>, _>::new(&views, &spec, cfg, &mut heap_probe)
+                    .run();
+            assert!(!probe.spans().is_empty());
+            assert_eq!(
+                report,
+                heap,
+                "{} tenants: engine results are queue-independent",
+                wls.len()
+            );
+            assert_eq!(probe.spans(), heap_probe.spans(), "{} tenants", wls.len());
+        }
     }
 
     #[test]
