@@ -14,7 +14,7 @@
 //! ```
 //!
 //! * `KIND` is an event kind in the canonical snake_case vocabulary of
-//!   [`respect_obs::render::kind_name`] (`arrival`, `admit`, `shed`,
+//!   [`respect_obs::render::KINDS`] (`arrival`, `admit`, `shed`,
 //!   `batch_open`, `batch_close`, `acquire`, `release`, `completion`,
 //!   `drift`, `repartition_pass`, `repartition_proposal`,
 //!   `repartition_accept`, `repartition_reject`, `scale_up`,
@@ -50,55 +50,34 @@
 
 use std::fmt;
 
-use respect_obs::render::kind_name;
+use respect_obs::render::{kind_index, KINDS};
 use respect_tpu::probe::ProbeEvent;
 use respect_tpu::sim::ResourceId;
 
 use crate::DbgError;
 
-/// Event kinds in canonical order; the bit index is the table index.
-const KINDS: [&str; 16] = [
-    "arrival",
-    "admit",
-    "shed",
-    "batch_open",
-    "batch_close",
-    "acquire",
-    "release",
-    "completion",
-    "drift",
-    "repartition_pass",
-    "repartition_proposal",
-    "repartition_accept",
-    "repartition_reject",
-    "scale_up",
-    "scale_down",
-    "route",
-];
-
-/// The bitmask a kind name (or group alias) selects, if any.
+/// The bitmask a kind name (or group alias) selects, if any: bit `i`
+/// is [`KINDS`]`[i]`, and a group `g` selects every kind named `g_*`.
 #[must_use]
 pub fn kind_mask(name: &str) -> Option<u32> {
-    if let Some(i) = KINDS.iter().position(|k| *k == name) {
-        return Some(1 << i);
-    }
-    match name {
-        "repartition" => Some(0b1111 << 9),
-        "scale" => Some(0b11 << 13),
-        "any" => Some((1 << KINDS.len()) - 1),
-        _ => None,
-    }
+    let selects = |kind: &str| match name {
+        "any" => true,
+        "repartition" | "scale" => kind
+            .strip_prefix(name)
+            .is_some_and(|rest| rest.starts_with('_')),
+        _ => kind == name,
+    };
+    let mask = (0..KINDS.len())
+        .filter(|&i| selects(KINDS[i]))
+        .fold(0, |mask, i| mask | 1 << i);
+    (mask != 0).then_some(mask)
 }
 
-/// The kind bit of one event (via the canonical renderer's vocabulary).
+/// The kind bit of one event.
 #[must_use]
 pub fn event_bit(ev: &ProbeEvent) -> u32 {
-    let name = kind_name(ev);
-    match KINDS.iter().position(|k| *k == name) {
-        Some(i) => 1 << i,
-        // future kinds (ProbeEvent is #[non_exhaustive]) match nothing
-        None => 0,
-    }
+    // future kinds (ProbeEvent is #[non_exhaustive]) match nothing
+    kind_index(ev).map_or(0, |i| 1 << i)
 }
 
 /// A comparable event field.

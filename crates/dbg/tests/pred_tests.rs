@@ -1,7 +1,7 @@
 //! Breakpoint predicate language: parse errors pinned at `line:col`,
 //! combinator semantics, and `nth` occurrence counters.
 
-use respect_dbg::pred::{parse_pred, EvalCx};
+use respect_dbg::pred::{event_bit, kind_mask, parse_pred, EvalCx};
 use respect_dbg::DbgError;
 use respect_tpu::probe::{ProbeEvent, ShedReason};
 use respect_tpu::sim::ResourceId;
@@ -51,6 +51,17 @@ fn kinds_and_aliases_match_their_events() {
     assert!(matches("repartition", 0.0, &acc));
     assert!(matches("repartition_accept", 0.0, &acc));
     assert!(!matches("repartition_reject", 0.0, &acc));
+    // bit i is the renderer's KINDS[i]; a group is its name's `_` kinds
+    assert_eq!(kind_mask("arrival"), Some(1));
+    assert_eq!(kind_mask("route"), Some(1 << 15));
+    assert_eq!(kind_mask("repartition"), Some(0b1111 << 9));
+    assert_eq!(kind_mask("scale"), Some(0b11 << 13));
+    assert_eq!(kind_mask("any"), Some((1 << 16) - 1));
+    for unknown in ["batch", "repartition_", "scale_sideways", ""] {
+        assert_eq!(kind_mask(unknown), None, "{unknown:?} is no kind");
+    }
+    assert_eq!(Some(event_bit(&up)), kind_mask("scale_up"));
+    assert_eq!(Some(event_bit(&acc)), kind_mask("repartition_accept"));
 }
 
 #[test]

@@ -69,11 +69,7 @@ impl FlightRecorder {
     /// The retained events in chronological order.
     #[must_use]
     pub fn events(&self) -> Vec<(f64, ProbeEvent)> {
-        let mut v = self.ring.clone();
-        if self.ring.len() == self.cap {
-            v.rotate_left(self.head);
-        }
-        v
+        self.events_since(self.first_index()).1
     }
 
     /// Absolute index of the oldest retained event: every recorded

@@ -11,8 +11,8 @@
 //!   stable-ordered [`MetricsSnapshot`] with Prometheus-style text and
 //!   TSV expositions;
 //! * [`ChromeTraceRecorder`] — Chrome `trace_event` JSON (one process
-//!   per chain, one thread per resource, complete-event spans from
-//!   acquire/release pairs), loadable in Perfetto or
+//!   per chain, one thread per resource, one complete-event span per
+//!   release, which carries its hold's start), loadable in Perfetto or
 //!   `chrome://tracing`;
 //! * [`FlightRecorder`] — a bounded ring of the last N events, for
 //!   post-mortem dumps when an assertion or scenario fails.

@@ -1,7 +1,8 @@
 //! Deterministic metrics aggregation over the probe stream.
 //!
 //! [`MetricsRecorder`] is a [`Probe`] that folds every event into plain
-//! counters, busy-time accumulators, and a mergeable
+//! counters, busy-time accumulators (each `Release` adds the hold it
+//! ends), and a mergeable
 //! [`LatencyHistogram`] of completion sojourns. [`MetricsRecorder::snapshot`]
 //! freezes the state into a [`MetricsSnapshot`] whose entries are in a
 //! fixed, documented order, so two identical runs produce byte-identical
@@ -9,20 +10,9 @@
 //! expositions — stable enough to golden-pin (see `tests/metrics_golden.rs`
 //! at the workspace root).
 
-use std::collections::BTreeMap;
-
 use respect_serve::LatencyHistogram;
 use respect_tpu::probe::{Probe, ProbeEvent, ShedReason};
 use respect_tpu::sim::ResourceId;
-
-/// Key of an open resource hold: `(chain, resource)`, with the bus
-/// mapped past any device index.
-fn resource_key(chain: u16, resource: ResourceId) -> (u16, u32) {
-    match resource {
-        ResourceId::Device(k) => (chain, k as u32),
-        ResourceId::Bus => (chain, u32::MAX),
-    }
-}
 
 /// A [`Probe`] that aggregates the event stream into counters and
 /// gauges. Purely deterministic: state is a fold over the (ordered)
@@ -54,8 +44,6 @@ pub struct MetricsRecorder {
     latency_sum_s: f64,
     latency_max_s: f64,
     latency: LatencyHistogram,
-    /// Open resource holds: `(chain, resource) → acquire time`.
-    open: BTreeMap<(u16, u32), f64>,
 }
 
 impl MetricsRecorder {
@@ -132,21 +120,14 @@ impl Probe for MetricsRecorder {
                 self.batched_requests += u64::from(size);
                 self.max_batch_requests = self.max_batch_requests.max(u64::from(size));
             }
-            ProbeEvent::Acquire {
-                chain, resource, ..
-            } => {
-                self.acquires += 1;
-                self.open.insert(resource_key(chain, resource), t);
-            }
+            ProbeEvent::Acquire { .. } => self.acquires += 1,
             ProbeEvent::Release {
-                chain, resource, ..
+                resource, since_s, ..
             } => {
                 self.releases += 1;
-                if let Some(t0) = self.open.remove(&resource_key(chain, resource)) {
-                    match resource {
-                        ResourceId::Device(_) => self.device_busy_s += t - t0,
-                        ResourceId::Bus => self.bus_busy_s += t - t0,
-                    }
+                match resource {
+                    ResourceId::Device(_) => self.device_busy_s += t - since_s,
+                    ResourceId::Bus => self.bus_busy_s += t - since_s,
                 }
             }
             ProbeEvent::Completion { latency_s, .. } => {
@@ -329,6 +310,7 @@ mod tests {
             tenant: 0,
             request: 0,
             stage: 1,
+            since_s: 1.0,
         };
         m.record(1.0, &acq);
         m.record(1.5, &rel);
@@ -350,6 +332,7 @@ mod tests {
                 tenant: 0,
                 request: 0,
                 stage: 0,
+                since_s: 2.0,
             },
         );
         let s = m.snapshot();

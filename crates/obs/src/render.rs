@@ -24,31 +24,58 @@
 use respect_tpu::probe::{ProbeEvent, ShedReason};
 use respect_tpu::sim::ResourceId;
 
-/// The event's kind as a stable snake_case name — the same vocabulary
-/// the `respect_dbg` breakpoint predicate language matches on.
+/// Every event kind's stable snake_case name, indexed by
+/// [`kind_index`]: the vocabulary of [`kind_name`] and of the
+/// `respect_dbg` breakpoint predicates.
+pub const KINDS: [&str; 16] = [
+    "arrival",
+    "admit",
+    "shed",
+    "batch_open",
+    "batch_close",
+    "acquire",
+    "release",
+    "completion",
+    "drift",
+    "repartition_pass",
+    "repartition_proposal",
+    "repartition_accept",
+    "repartition_reject",
+    "scale_up",
+    "scale_down",
+    "route",
+];
+
+/// The event's position in [`KINDS`]; `None` for a kind that has no
+/// name there yet ([`ProbeEvent`] is `#[non_exhaustive]`).
+#[must_use]
+pub fn kind_index(ev: &ProbeEvent) -> Option<usize> {
+    Some(match ev {
+        ProbeEvent::Arrival { .. } => 0,
+        ProbeEvent::Admit { .. } => 1,
+        ProbeEvent::Shed { .. } => 2,
+        ProbeEvent::BatchOpen { .. } => 3,
+        ProbeEvent::BatchClose { .. } => 4,
+        ProbeEvent::Acquire { .. } => 5,
+        ProbeEvent::Release { .. } => 6,
+        ProbeEvent::Completion { .. } => 7,
+        ProbeEvent::DriftTrigger { .. } => 8,
+        ProbeEvent::RepartitionPass { .. } => 9,
+        ProbeEvent::RepartitionProposal { .. } => 10,
+        ProbeEvent::RepartitionAccept { .. } => 11,
+        ProbeEvent::RepartitionReject { .. } => 12,
+        ProbeEvent::ScaleUp { .. } => 13,
+        ProbeEvent::ScaleDown { .. } => 14,
+        ProbeEvent::RouterDecision { .. } => 15,
+        _ => return None,
+    })
+}
+
+/// The event's kind as its [`KINDS`] name; kinds without one render
+/// recognizably as `unknown`.
 #[must_use]
 pub fn kind_name(ev: &ProbeEvent) -> &'static str {
-    match ev {
-        ProbeEvent::Arrival { .. } => "arrival",
-        ProbeEvent::Admit { .. } => "admit",
-        ProbeEvent::Shed { .. } => "shed",
-        ProbeEvent::BatchOpen { .. } => "batch_open",
-        ProbeEvent::BatchClose { .. } => "batch_close",
-        ProbeEvent::Acquire { .. } => "acquire",
-        ProbeEvent::Release { .. } => "release",
-        ProbeEvent::Completion { .. } => "completion",
-        ProbeEvent::DriftTrigger { .. } => "drift",
-        ProbeEvent::RepartitionPass { .. } => "repartition_pass",
-        ProbeEvent::RepartitionProposal { .. } => "repartition_proposal",
-        ProbeEvent::RepartitionAccept { .. } => "repartition_accept",
-        ProbeEvent::RepartitionReject { .. } => "repartition_reject",
-        ProbeEvent::ScaleUp { .. } => "scale_up",
-        ProbeEvent::ScaleDown { .. } => "scale_down",
-        ProbeEvent::RouterDecision { .. } => "route",
-        // ProbeEvent is #[non_exhaustive]; render future kinds
-        // recognizably rather than failing to compile
-        _ => "unknown",
-    }
+    kind_index(ev).map_or("unknown", |i| KINDS[i])
 }
 
 fn resource_name(r: ResourceId) -> String {
@@ -108,6 +135,7 @@ pub fn render_event(ev: &ProbeEvent) -> String {
             tenant,
             request,
             stage,
+            ..
         } => format!(
             "{kind} chain={chain} {} tenant={tenant} request={request} stage={stage}",
             resource_name(resource)
@@ -213,6 +241,7 @@ mod tests {
                 tenant: 0,
                 request: 1,
                 stage: 0,
+                since_s: 0.125,
             },
             ProbeEvent::Completion {
                 chain: 0,
@@ -255,7 +284,8 @@ mod tests {
                 chain: 3,
             },
         ];
-        for ev in &events {
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(kind_index(ev), Some(i), "{ev:?} sits at its KINDS index");
             let line = render_event(ev);
             assert!(
                 line.starts_with(kind_name(ev)),

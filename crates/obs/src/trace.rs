@@ -1,10 +1,11 @@
 //! Chrome `trace_event` JSON export of the probe stream.
 //!
-//! [`ChromeTraceRecorder`] is a [`Probe`] that turns the acquire/release
-//! pairs of a [`SpanProbe`] into complete (`"ph":"X"`) span events and
-//! the control-plane events (sheds, drift triggers, repartition
-//! decisions, autoscale steps) into instant (`"ph":"i"`) markers. The
-//! JSON is the [Trace Event Format] consumed by Perfetto
+//! [`ChromeTraceRecorder`] is a [`Probe`] that turns each resource
+//! `Release`, which carries the start of the hold it ends, into one
+//! complete (`"ph":"X"`) span event, and the control-plane events
+//! (sheds, drift triggers, repartition decisions, autoscale steps) into
+//! instant (`"ph":"i"`) markers. The JSON is the [Trace Event Format]
+//! consumed by Perfetto
 //! (<https://ui.perfetto.dev>) and `chrome://tracing`:
 //!
 //! * **process** (`pid`) = fleet chain index, named `chain<c>` via
@@ -27,19 +28,16 @@
 //! use respect_tpu::sim::ResourceId;
 //!
 //! let mut tr = ChromeTraceRecorder::new();
-//! let hold = |resource| ProbeEvent::Acquire {
-//!     chain: 0, resource, tenant: 0, request: 3, stage: 1,
-//! };
-//! tr.record(0.001, &hold(ResourceId::Device(1)));
 //! tr.record(0.004, &ProbeEvent::Release {
 //!     chain: 0, resource: ResourceId::Device(1), tenant: 0, request: 3, stage: 1,
+//!     since_s: 0.001,
 //! });
 //! let json = tr.to_json();
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! assert!(json.contains("\"ph\":\"X\""));
 //! ```
 
-use respect_tpu::probe::{Probe, ProbeEvent, SpanProbe, TraceSpan};
+use respect_tpu::probe::{Probe, ProbeEvent, TraceSpan};
 use respect_tpu::sim::ResourceId;
 
 /// `tid` of the shared host bus within each chain-process.
@@ -72,8 +70,6 @@ enum TraceEvent {
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTraceRecorder {
     events: Vec<TraceEvent>,
-    /// Pairs acquire/release events into spans.
-    holds: SpanProbe,
     /// Highest chain index seen, for process-name metadata.
     max_chain: u16,
     saw_fleet_event: bool,
@@ -171,14 +167,10 @@ impl ChromeTraceRecorder {
 impl Probe for ChromeTraceRecorder {
     fn record(&mut self, t: f64, ev: &ProbeEvent) {
         match *ev {
-            ProbeEvent::Acquire { chain, .. } => {
-                self.max_chain = self.max_chain.max(chain);
-                self.holds.pair(t, ev);
-            }
+            ProbeEvent::Acquire { chain, .. } => self.max_chain = self.max_chain.max(chain),
             ProbeEvent::Release { .. } => {
-                if let Some(span) = self.holds.pair(t, ev) {
-                    self.events.push(TraceEvent::Span(span));
-                }
+                self.events
+                    .extend(TraceSpan::of_release(t, ev).map(TraceEvent::Span));
             }
             ProbeEvent::Shed {
                 chain,
@@ -246,18 +238,19 @@ mod tests {
             request: 9,
             stage: 2,
         };
-        let rel = |chain, resource| ProbeEvent::Release {
+        let rel = |chain, resource, since_s| ProbeEvent::Release {
             chain,
             resource,
             tenant: 1,
             request: 9,
             stage: 2,
+            since_s,
         };
         // interleaved holds on two chains' device 0 must not collide
         tr.record(1.0, &acq(0, ResourceId::Device(0)));
         tr.record(1.1, &acq(1, ResourceId::Device(0)));
-        tr.record(1.2, &rel(0, ResourceId::Device(0)));
-        tr.record(1.4, &rel(1, ResourceId::Device(0)));
+        tr.record(1.2, &rel(0, ResourceId::Device(0), 1.0));
+        tr.record(1.4, &rel(1, ResourceId::Device(0), 1.1));
         assert_eq!(tr.len(), 2);
         let json = tr.to_json();
         assert!(json.contains("\"pid\":0"));
@@ -299,6 +292,7 @@ mod tests {
                     tenant: 0,
                     request: 0,
                     stage: 0,
+                    since_s: 0.1,
                 },
             );
             tr.to_json()

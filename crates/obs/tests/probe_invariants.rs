@@ -1,26 +1,33 @@
-//! Probe-stream invariants over real serve and fleet runs:
+//! Probe-stream invariants over real sim, serve and fleet runs:
 //!
 //! * conservation — every offered request is admitted or shed, exactly
 //!   once, and every admitted request completes;
 //! * span discipline — per (chain, resource), acquires and releases
 //!   strictly alternate and the resulting busy intervals never overlap
 //!   (each resource is an exclusive FIFO server);
+//! * the hold stamp — every `Release` carries, bit for bit, the time of
+//!   the last `Acquire` of its (chain, resource), so the recorders'
+//!   busy seconds and spans equal a replay that pairs the stream
+//!   itself, over generated configurations;
 //! * observation is free — a `NullProbe` run and a recorder-laden run
 //!   produce bitwise-identical reports.
 
 use std::collections::BTreeMap;
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use respect_graph::models;
 use respect_obs::{ChromeTraceRecorder, FlightRecorder, MetricsRecorder, Probe, ProbeEvent};
 use respect_sched::balanced::OpBalanced;
-use respect_sched::Scheduler;
+use respect_sched::{Schedule, Scheduler};
 use respect_serve::{
     serve, serve_fleet, serve_fleet_probed, serve_probed, AdmissionPolicy, AutoscalePolicy,
     BatchPolicy, FleetConfig, RouterPolicy, ServeConfig, ServeTenant,
 };
-use respect_tpu::probe::NullProbe;
-use respect_tpu::sim::{Arrivals, ResourceId};
-use respect_tpu::{compile, CompiledPipeline, DeviceSpec};
+use respect_tpu::probe::{EngineKind, NullProbe, SpanProbe, TraceSpan};
+use respect_tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
+use respect_tpu::{compile, CompiledPipeline, DeviceSpec, Segment};
 
 /// Collects the raw stream for offline invariant checking.
 #[derive(Default)]
@@ -53,11 +60,26 @@ fn tenants(p: &CompiledPipeline) -> Vec<ServeTenant> {
     ]
 }
 
-/// Asserts conservation and span discipline on a collected stream.
-fn check_stream(events: &[(f64, ProbeEvent)], offered: u64) {
-    let (mut arrivals, mut admits, mut sheds, mut completions) = (0u64, 0u64, 0u64, 0u64);
-    // (chain, device-or-bus key) → (open?, last release time, last acquire time)
-    let mut span: BTreeMap<(u16, u32), (bool, f64, f64)> = BTreeMap::new();
+/// What [`check_stream`] replayed: the shed count, and each hold as
+/// its `Acquire` reported it, closed by its `Release`, in release order.
+#[derive(Debug, Default)]
+struct Replay {
+    sheds: u64,
+    /// Every hold, in release order.
+    spans: Vec<TraceSpan>,
+    device_busy_s: f64,
+    bus_busy_s: f64,
+}
+
+/// Asserts conservation, span discipline and the hold stamp on a
+/// collected stream. `engine` says which events to expect: `sim` runs
+/// no admission control, so it emits no `Admit` or `Shed`.
+fn check_stream(events: &[(f64, ProbeEvent)], offered: u64, engine: EngineKind) -> Replay {
+    let mut replay = Replay::default();
+    let (mut arrivals, mut admits, mut completions) = (0u64, 0u64, 0u64);
+    // (chain, device-or-bus key) → (open hold, as its Acquire reported
+    // it; last release time)
+    let mut holds: BTreeMap<(u16, u32), (Option<TraceSpan>, f64)> = BTreeMap::new();
     let key = |chain: u16, resource: ResourceId| match resource {
         ResourceId::Device(k) => (chain, k as u32),
         ResourceId::Bus => (chain, u32::MAX),
@@ -72,50 +94,91 @@ fn check_stream(events: &[(f64, ProbeEvent)], offered: u64) {
         match ev {
             ProbeEvent::Arrival { .. } => arrivals += 1,
             ProbeEvent::Admit { .. } => admits += 1,
-            ProbeEvent::Shed { .. } => sheds += 1,
+            ProbeEvent::Shed { .. } => replay.sheds += 1,
             ProbeEvent::Completion { latency_s, .. } => {
                 completions += 1;
                 assert!(latency_s > 0.0, "sojourn must be positive");
             }
             ProbeEvent::Acquire {
-                chain, resource, ..
+                chain,
+                resource,
+                tenant,
+                request,
+                stage,
             } => {
-                let e = span
-                    .entry(key(chain, resource))
-                    .or_insert((false, 0.0, 0.0));
-                assert!(!e.0, "double acquire on {:?} of chain {chain}", resource);
+                let (open, released) = holds.entry(key(chain, resource)).or_insert((None, 0.0));
                 assert!(
-                    t >= e.1,
-                    "acquire at {t} before previous release {} on {:?}",
-                    e.1,
-                    resource
+                    open.is_none(),
+                    "double acquire on {resource:?} of chain {chain}"
                 );
-                *e = (true, e.1, t);
+                assert!(
+                    t >= *released,
+                    "acquire at {t} before previous release {released} on {resource:?}"
+                );
+                *open = Some(TraceSpan {
+                    chain,
+                    resource,
+                    tenant,
+                    request,
+                    stage,
+                    start_s: t,
+                    end_s: t,
+                });
             }
             ProbeEvent::Release {
-                chain, resource, ..
+                chain,
+                resource,
+                since_s,
+                ..
             } => {
-                let e = span
+                let (open, released) = holds
                     .get_mut(&key(chain, resource))
                     .unwrap_or_else(|| panic!("release without acquire on {resource:?}"));
-                assert!(e.0, "release without open hold on {:?}", resource);
-                assert!(t >= e.2, "release at {t} before acquire {}", e.2);
-                *e = (false, t, e.2);
+                let hold = open
+                    .take()
+                    .unwrap_or_else(|| panic!("release without open hold on {resource:?}"));
+                assert!(
+                    t >= hold.start_s,
+                    "release at {t} before acquire {}",
+                    hold.start_s
+                );
+                assert_eq!(
+                    since_s.to_bits(),
+                    hold.start_s.to_bits(),
+                    "release at {t} on {resource:?} of chain {chain} stamps {since_s}, \
+                     but its hold began at {}",
+                    hold.start_s
+                );
+                match resource {
+                    ResourceId::Device(_) => replay.device_busy_s += t - hold.start_s,
+                    ResourceId::Bus => replay.bus_busy_s += t - hold.start_s,
+                }
+                replay.spans.push(TraceSpan { end_s: t, ..hold });
+                *released = t;
             }
             _ => {}
         }
     }
     assert_eq!(arrivals, offered, "one Arrival per offered request");
+    let admitted = if engine == EngineKind::Sim {
+        assert_eq!((admits, replay.sheds), (0, 0), "sim runs no admission");
+        arrivals
+    } else {
+        admits
+    };
     assert_eq!(
-        admits + sheds,
+        admitted + replay.sheds,
         offered,
         "every request is admitted or shed, exactly once"
     );
-    assert_eq!(completions, admits, "every admitted request completes");
-    assert!(sheds > 0, "the overloaded tenant must shed");
-    for ((chain, res), (open, ..)) in &span {
-        assert!(!open, "resource {res} of chain {chain} still held at end");
+    assert_eq!(completions, admitted, "every admitted request completes");
+    for ((chain, res), (open, _)) in &holds {
+        assert!(
+            open.is_none(),
+            "resource {res} of chain {chain} still held at end"
+        );
     }
+    replay
 }
 
 #[test]
@@ -125,7 +188,8 @@ fn serve_stream_conserves_requests_and_nests_spans() {
     let cfg = ServeConfig::contended();
     let mut collect = Collect::default();
     let probed = serve_probed(&tenants(&p), &spec, &cfg, &mut collect).unwrap();
-    check_stream(&collect.0, 500);
+    let replay = check_stream(&collect.0, 500, EngineKind::Serve);
+    assert!(replay.sheds > 0, "the overloaded tenant must shed");
     // observation is free: NullProbe ≡ unprobed ≡ collected run
     let plain = serve(&tenants(&p), &spec, &cfg).unwrap();
     let nulled = serve_probed(&tenants(&p), &spec, &cfg, &mut NullProbe).unwrap();
@@ -146,7 +210,8 @@ fn fleet_stream_conserves_requests_and_nests_spans_per_chain() {
         );
     let mut collect = Collect::default();
     let probed = serve_fleet_probed(&tenants(&p), &cfg, &mut collect).unwrap();
-    check_stream(&collect.0, 500);
+    let replay = check_stream(&collect.0, 500, EngineKind::Fleet);
+    assert!(replay.sheds > 0, "the overloaded tenant must shed");
     // fleet-only invariants: one router decision per arrival, and the
     // scale events chain contiguously from the min_chains floor
     let routes = collect
@@ -206,4 +271,174 @@ fn recorders_observe_without_perturbing_and_agree_with_the_report() {
     assert_eq!(flight.len(), 64, "the flight ring filled");
     assert!(flight.dropped() > 0);
     assert!(flight.dump().contains("completion"));
+}
+
+/// A random pipeline with consistent inter-stage byte counts
+/// (`output[k] == input[k+1]`); about a third of the cuts and streams
+/// are zero-length, so their transfers skip the bus.
+fn random_pipeline(stages: usize, rng: &mut StdRng) -> CompiledPipeline {
+    let spec = DeviceSpec::coral();
+    let mut bytes = |max: u64| {
+        if rng.gen_range(0u32..3) == 0 {
+            0
+        } else {
+            rng.gen_range(1..max)
+        }
+    };
+    let cuts: Vec<u64> = (1..stages).map(|_| bytes(2 << 20)).collect();
+    let segments = (0..stages)
+        .map(|k| {
+            let streamed_bytes = bytes(8 << 20);
+            Segment {
+                stage: k,
+                nodes: vec![],
+                param_bytes: spec.sram_bytes + streamed_bytes,
+                cached_bytes: spec.sram_bytes,
+                streamed_bytes,
+                macs: bytes(1_000_000_000),
+                input_bytes: if k == 0 { 0 } else { cuts[k - 1] },
+                output_bytes: if k + 1 == stages { 0 } else { cuts[k] },
+            }
+        })
+        .collect();
+    CompiledPipeline {
+        segments,
+        schedule: Schedule::new((0..stages).collect(), stages).unwrap(),
+    }
+}
+
+/// Runs one generated configuration under a stream collector, a metrics
+/// recorder, a Chrome trace and a span probe at once, and checks each
+/// recorder against the replay of the collected stream.
+fn check_recorders(engine: EngineKind, contended: bool, chains: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = DeviceSpec::coral();
+    let pipelines: Vec<CompiledPipeline> = (0..rng.gen_range(1..=2))
+        .map(|_| {
+            let stages = rng.gen_range(1..=4);
+            random_pipeline(stages, &mut rng)
+        })
+        .collect();
+    let max_hold = pipelines
+        .iter()
+        .flat_map(|p| &p.segments)
+        .map(|s| sim::batch_service_time(s, &spec, 1))
+        .fold(0.0, f64::max);
+    let loads: Vec<(usize, Arrivals)> = pipelines
+        .iter()
+        .map(|_| {
+            let rate = rng.gen_range(0.3..2.0) * chains as f64 / max_hold;
+            let arrivals = match rng.gen_range(0u32..3) {
+                0 => Arrivals::ClosedLoop,
+                1 => Arrivals::Periodic { rate },
+                _ => Arrivals::Poisson {
+                    rate,
+                    seed: rng.gen_range(0..u64::MAX),
+                },
+            };
+            (rng.gen_range(1..120), arrivals)
+        })
+        .collect();
+    let offered = loads.iter().map(|&(n, _)| n as u64).sum();
+    let mut collect = Collect::default();
+    let mut metrics = MetricsRecorder::new();
+    let mut trace = ChromeTraceRecorder::new();
+    let mut spans = SpanProbe::new();
+    let mut all = (&mut collect, (&mut metrics, (&mut trace, &mut spans)));
+    if engine == EngineKind::Sim {
+        let workloads: Vec<Workload> = pipelines
+            .iter()
+            .zip(&loads)
+            .map(|(p, &(n, arrivals))| {
+                Workload::new(p.clone(), n)
+                    .with_arrivals(arrivals)
+                    .with_batch(rng.gen_range(1..=4))
+            })
+            .collect();
+        let cfg = if contended {
+            SimConfig::contended()
+        } else {
+            SimConfig::uncontended()
+        };
+        sim::run_probed(&workloads, &spec, &cfg, &mut all).unwrap();
+    } else {
+        let tenants: Vec<ServeTenant> = pipelines
+            .iter()
+            .zip(&loads)
+            .map(|(p, &(n, arrivals))| {
+                let tenant = ServeTenant::new(p.clone(), n).with_arrivals(arrivals);
+                match rng.gen_range(0u32..3) {
+                    0 => tenant,
+                    1 => tenant.with_batcher(BatchPolicy::new(
+                        rng.gen_range(2..=8),
+                        rng.gen_range(0.1..4.0) * max_hold,
+                    )),
+                    _ => tenant
+                        .with_batcher(BatchPolicy::new(4, max_hold))
+                        .with_admission(AdmissionPolicy::QueueBound {
+                            max_waiting: rng.gen_range(1..=6),
+                        }),
+                }
+            })
+            .collect();
+        if engine == EngineKind::Serve {
+            let cfg = if contended {
+                ServeConfig::contended()
+            } else {
+                ServeConfig::uncontended()
+            };
+            serve_probed(&tenants, &spec, &cfg, &mut all).unwrap();
+        } else {
+            let mut cfg = FleetConfig::homogeneous(chains, spec)
+                .with_router(RouterPolicy::JoinShortestBacklog);
+            if contended {
+                cfg = cfg.with_contended_bus();
+            }
+            serve_fleet_probed(&tenants, &cfg, &mut all).unwrap();
+        }
+    }
+    let replay = check_stream(&collect.0, offered, engine);
+    let releases = replay.spans.len();
+    assert!(releases > 0, "every run holds a device");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("resource_releases"), Some(releases as u64));
+    assert_eq!(
+        snap.gauge("device_busy_s").map(f64::to_bits),
+        Some(replay.device_busy_s.to_bits()),
+        "device busy seconds are the replay's fold, bit for bit"
+    );
+    assert_eq!(
+        snap.gauge("bus_busy_s").map(f64::to_bits),
+        Some(replay.bus_busy_s.to_bits()),
+        "bus busy seconds are the replay's fold, bit for bit"
+    );
+    if !contended {
+        assert_eq!(
+            replay.bus_busy_s, 0.0,
+            "a dedicated link never holds the bus"
+        );
+    }
+    assert_eq!(
+        trace.to_json().matches("\"ph\":\"X\"").count(),
+        releases,
+        "the trace holds one span per release"
+    );
+    assert_eq!(spans.spans(), replay.spans, "one span per hold");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_release_stamps_its_hold_start_and_recorders_fold_it(
+        engine_u in 0u32..3,
+        contended_u in 0u32..2,
+        chains in 1usize..=3,
+        seed in 0u64..1 << 48,
+    ) {
+        let engine = [EngineKind::Sim, EngineKind::Serve, EngineKind::Fleet][engine_u as usize];
+        // only the fleet runs more than one chain
+        let chains = if engine == EngineKind::Fleet { chains } else { 1 };
+        check_recorders(engine, contended_u == 1, chains, seed);
+    }
 }

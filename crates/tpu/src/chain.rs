@@ -155,6 +155,7 @@ struct BusRequest {
 #[derive(Debug, Default)]
 struct Bus {
     busy: bool,
+    granted_at: f64,
     queue: SmallQueue<BusRequest, 4>,
     busy_s: f64,
 }
@@ -317,7 +318,8 @@ impl Chain {
     ) -> Finished {
         let device = &mut self.devices[k];
         device.busy = false;
-        let held_s = t - device.seized_at;
+        // read before the next job's seize overwrites it
+        let since_s = device.seized_at;
         let next = device.queue.pop_front();
         if P::ENABLED {
             p.record(
@@ -328,6 +330,7 @@ impl Chain {
                     tenant: job.tenant,
                     request: jobs.request(job),
                     stage: k as u16,
+                    since_s,
                 },
             );
         }
@@ -337,7 +340,7 @@ impl Chain {
         Finished {
             job,
             k,
-            held_s,
+            held_s: t - since_s,
             next,
         }
     }
@@ -352,6 +355,7 @@ impl Chain {
         p: &mut P,
     ) {
         self.bus.busy = true;
+        self.bus.granted_at = t;
         self.bus.busy_s += req.duration;
         if P::ENABLED {
             p.record(
@@ -392,6 +396,7 @@ impl Chain {
                     tenant: job.tenant,
                     request: jobs.request(job),
                     stage: k as u16,
+                    since_s: self.bus.granted_at,
                 },
             );
         }

@@ -28,7 +28,8 @@
 //! * [`probe`] — zero-cost observability hooks: the [`Probe`] trait and
 //!   typed [`ProbeEvent`]s emitted by this engine and every serving
 //!   layer above it, compiled away under the default [`NullProbe`], and
-//!   the [`probe::SpanProbe`] that pairs resource holds into spans;
+//!   the [`probe::SpanProbe`] that collects resource holds as spans
+//!   (each `Release` carries its hold's start);
 //! * [`exec`] — pipelined inference streams on top of [`sim`] (the
 //!   Fig. 4 on-chip runtime metric), plus the closed-form analytic
 //!   oracle the engine is differentially tested against;

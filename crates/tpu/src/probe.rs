@@ -15,7 +15,10 @@
 //! counters, Chrome `trace_event` JSON, a bounded flight-recorder ring)
 //! live in the `respect_obs` crate; this module defines the contract,
 //! low enough in the crate graph that every layer can emit into it, and
-//! the [`SpanProbe`] that pairs resource holds into [`TraceSpan`]s.
+//! the [`SpanProbe`] that collects resource holds as [`TraceSpan`]s.
+//! A hold is reported once and whole, at its end: every
+//! [`ProbeEvent::Release`] carries the time its hold began, so no
+//! observer pairs it with its [`ProbeEvent::Acquire`].
 //!
 //! # Example
 //!
@@ -100,6 +103,9 @@ pub enum ProbeEvent {
         tenant: u32,
         request: u32,
         stage: u16,
+        /// When the hold began: the time of its [`ProbeEvent::Acquire`],
+        /// seconds.
+        since_s: f64,
     },
     /// A request finished its last stage.
     Completion {
@@ -415,8 +421,8 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// One busy interval of one resource, paired from an
-/// [`ProbeEvent::Acquire`] and its [`ProbeEvent::Release`].
+/// One busy interval of one resource: a [`ProbeEvent::Release`] and
+/// the hold start it carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSpan {
     /// Fleet chain index (0 for sim/serve).
@@ -435,14 +441,37 @@ pub struct TraceSpan {
     pub end_s: f64,
 }
 
-/// A probe that pairs each `Acquire` with its `Release` into a
-/// [`TraceSpan`], collected in release order. Holds pair per
-/// `(chain, resource)`, since every resource is an exclusive server, so
-/// it observes `sim`, `serve` and `serve_fleet` runs alike.
+impl TraceSpan {
+    /// The hold that a [`ProbeEvent::Release`] at `t` ends; `None` for
+    /// every other event.
+    #[must_use]
+    pub fn of_release(t: f64, ev: &ProbeEvent) -> Option<TraceSpan> {
+        match *ev {
+            ProbeEvent::Release {
+                chain,
+                resource,
+                tenant,
+                request,
+                stage,
+                since_s,
+            } => Some(TraceSpan {
+                chain,
+                resource,
+                tenant,
+                request,
+                stage,
+                start_s: since_s,
+                end_s: t,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A probe that collects every resource hold as a [`TraceSpan`], in
+/// release order, for `sim`, `serve` and `serve_fleet` runs alike.
 #[derive(Debug, Clone, Default)]
 pub struct SpanProbe {
-    /// Open holds per chain: slot 0 is the bus, slot `k + 1` device `k`.
-    open: Vec<Vec<Option<TraceSpan>>>,
     spans: Vec<TraceSpan>,
 }
 
@@ -458,61 +487,11 @@ impl SpanProbe {
     pub fn spans(&self) -> &[TraceSpan] {
         &self.spans
     }
-
-    /// Opens a hold on an `Acquire` and returns the span a `Release`
-    /// closes, without collecting it. Other events are ignored.
-    pub fn pair(&mut self, t: f64, ev: &ProbeEvent) -> Option<TraceSpan> {
-        match *ev {
-            ProbeEvent::Acquire {
-                chain,
-                resource,
-                tenant,
-                request,
-                stage,
-            } => {
-                *self.hold(chain, resource) = Some(TraceSpan {
-                    chain,
-                    resource,
-                    tenant,
-                    request,
-                    stage,
-                    start_s: t,
-                    end_s: t,
-                });
-                None
-            }
-            ProbeEvent::Release {
-                chain, resource, ..
-            } => {
-                let span = self.hold(chain, resource).take()?;
-                Some(TraceSpan { end_s: t, ..span })
-            }
-            _ => None,
-        }
-    }
-
-    fn hold(&mut self, chain: u16, resource: ResourceId) -> &mut Option<TraceSpan> {
-        let c = usize::from(chain);
-        if self.open.len() <= c {
-            self.open.resize_with(c + 1, Vec::new);
-        }
-        let slot = match resource {
-            ResourceId::Bus => 0,
-            ResourceId::Device(k) => k + 1,
-        };
-        let holds = &mut self.open[c];
-        if holds.len() <= slot {
-            holds.resize(slot + 1, None);
-        }
-        &mut holds[slot]
-    }
 }
 
 impl Probe for SpanProbe {
     fn record(&mut self, t: f64, ev: &ProbeEvent) {
-        if let Some(span) = self.pair(t, ev) {
-            self.spans.push(span);
-        }
+        self.spans.extend(TraceSpan::of_release(t, ev));
     }
 }
 

@@ -39,7 +39,8 @@
 //! closed-loop unbatched tenant reproduces the analytic recurrence
 //! *exactly* (same additions in the same order) — property-tested in
 //! `tests/sim_properties.rs`. Attach a [`crate::probe::SpanProbe`] to
-//! [`run_probed`] to collect per-resource busy intervals.
+//! [`run_probed`] to collect per-resource busy intervals, one per
+//! `Release`, which carries the time its hold began.
 //!
 //! The hot path is allocation-free in steady state: the core's FIFOs
 //! are inline rings, the pending-event set reuses its buckets, and
@@ -981,7 +982,7 @@ pub fn run(
 }
 
 /// [`run`] with an attached [`Probe`] observing arrivals, device/bus
-/// acquire/release pairs, and completions (see [`crate::probe`]).
+/// acquires and releases, and completions (see [`crate::probe`]).
 ///
 /// `run_probed(.., &mut NullProbe)` is [`run`] — the instrumentation
 /// compiles away and the report is bitwise-identical.
