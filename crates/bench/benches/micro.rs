@@ -54,7 +54,8 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| solver.schedule(&synth, 4).unwrap())
     });
     // teacher labelling time sits in the in-degree-2 tail: at k = 4 this
-    // graph from it explores about 40 times the states of the one above
+    // graph from it explores about 7 times the states of the one above
+    // (46,122 against 6,460)
     let deg2 = SyntheticSampler::new(SyntheticConfig::paper(2), 4).sample();
     c.bench_function("exact/teacher-deg2/4", |b| {
         b.iter(|| solver.schedule(&deg2, 4).unwrap())

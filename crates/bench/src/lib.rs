@@ -92,8 +92,9 @@ fn cache_path(scale: PolicyScale) -> PathBuf {
     PathBuf::from(target).join(format!("respect_policy_{tag}_v1.rspp"))
 }
 
-/// The three schedulers of the paper's comparison (plus the cold exact
-/// solver whose solving time stands in for the CPLEX ILP in Fig. 3).
+/// The three schedulers of the paper's comparison, plus the ILP-style
+/// solver whose solving time stands in for CPLEX in Fig. 3
+/// ([`experiments::fig3`] times `ilp`).
 pub struct Competitors {
     /// RESPECT (RL).
     pub respect: RespectScheduler,

@@ -113,11 +113,8 @@ impl CostModel {
     /// A lower bound on the objective for any `num_stages`-stage schedule:
     /// resources divided evenly with zero communication.
     pub fn lower_bound(&self, dag: &Dag, num_stages: usize) -> f64 {
-        let total_params = dag.total_param_bytes();
-        let total_macs = dag.total_macs();
         let k = num_stages.max(1) as u64;
-        let spill = (total_params / k).saturating_sub(self.cache_bytes);
-        self.sec_per_mac * (total_macs / k) as f64 + self.sec_per_byte * spill as f64
+        self.stage_cost(dag.total_param_bytes() / k, dag.total_macs() / k, 0)
     }
 }
 

@@ -16,15 +16,19 @@
 //!   growth, so a segment whose cost reaches the incumbent bound is pruned
 //!   with all its extensions. Cut-in bytes depend only on the boundary, so
 //!   costing an extension takes three additions;
-//! * an even-split lower bound on the remaining nodes prunes boundaries
-//!   that cannot beat the incumbent;
+//! * a lower bound on the rest prunes boundaries that cannot beat the
+//!   incumbent: the dearest of the rest's `m` stages costs at least a
+//!   stage holding a `1/m` share of the rest's MACs, its parameters and
+//!   the bytes the boundary sends into it (a running sum of a per-node
+//!   constant, counted only under a cost model whose coefficients are
+//!   finite and `≥ 0`);
 //! * a stage's frontier keeps each boundary's least bottleneck and the
 //!   index of its parent in the previous frontier, which is sorted by
 //!   bottleneck with ties in [`NodeSet`] order;
 //! * on the last stage only the whole residual completes a schedule, so
 //!   no frontier is built after the second-to-last stage: its sweep costs
-//!   the residual of every boundary it offers on the spot (the residual's
-//!   cut-in bytes are a running sum of a per-node constant) and keeps the
+//!   the residual of every boundary it offers on the spot (with the same
+//!   running sum of the bytes entering it) and keeps the
 //!   least completion by objective, bottleneck and [`NodeSet`] order, the
 //!   first offer winning exact ties. After the sweep it adopts that
 //!   completion if it beats the incumbent: the same completion a pass
@@ -128,9 +132,8 @@ pub struct ExactScheduler {
     pub warmstart_moves: usize,
     /// Cold start: begin with an infinite incumbent bound, so the search
     /// must discover its own incumbents — the behaviour of a generic
-    /// exact solver (e.g. an ILP) without heuristic priming. Runtime
-    /// grows sharply with graph size, which is what the paper's Fig. 3
-    /// measures for the CPLEX baseline.
+    /// exact solver without heuristic priming. The paper's Fig. 3 times
+    /// [`crate::ilp::IlpScheduler`] as its CPLEX baseline, not this.
     pub cold_start: bool,
 }
 
@@ -238,13 +241,10 @@ impl ExactScheduler {
         };
 
         debug_assert!(search.best.is_valid(dag));
-        let monotone = [self.model.sec_per_mac, self.model.sec_per_byte]
-            .iter()
-            .all(|c| c.is_finite() && *c >= 0.0);
         Ok(ExactSolution {
             objective: self.model.objective(dag, &search.best),
+            proven_optimal: !timed_out && search.monotone,
             schedule: search.best,
-            proven_optimal: !timed_out && monotone,
             states_explored: search.states,
         })
     }
@@ -295,6 +295,10 @@ struct Search<'a> {
     cut_out: Vec<u64>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
+    /// Both cost coefficients are finite and `≥ 0`, so a stage's cost
+    /// never falls as its segment grows: the prunes hold, and the bytes
+    /// entering the rest may join its bound.
+    monotone: bool,
     ub: f64,
     best: Schedule,
     states: u64,
@@ -335,6 +339,9 @@ impl<'a> Search<'a> {
             preds: node.iter().map(|&v| positions(dag.preds(v))).collect(),
             succs: node.iter().map(|&v| positions(dag.succs(v))).collect(),
             node,
+            monotone: [model.sec_per_mac, model.sec_per_byte]
+                .iter()
+                .all(|c| c.is_finite() && *c >= 0.0),
             ub,
             best,
             states: 0,
@@ -425,14 +432,13 @@ impl<'a> Search<'a> {
         if at.k + 1 == self.num_stages {
             self.extend::<true>(at, seg, residual_cut_in, 0, residual);
         } else {
-            self.extend::<false>(at, seg, 0, 0, residual);
+            self.extend::<false>(at, seg, residual_cut_in, 0, residual);
         }
     }
 
     /// Grows `seg` by each ready position at or above `from`, then
     /// recursively beyond it; `left` counts the residual nodes outside
-    /// the segment. On the stage folded with the last (`FOLD`),
-    /// `rest_cut_in` tracks the bytes entering what is left.
+    /// the segment and `rest_cut_in` the bytes entering them.
     fn extend<const FOLD: bool>(
         &mut self,
         at: &Frame<'_>,
@@ -461,11 +467,7 @@ impl<'a> Search<'a> {
                     self.complete(at, bottleneck);
                 }
             } else {
-                let rest_cut_in = if FOLD {
-                    rest_cut_in.wrapping_add(self.cut_out[p])
-                } else {
-                    0
-                };
+                let rest_cut_in = rest_cut_in.wrapping_add(self.cut_out[p]);
                 self.offer::<FOLD>(at, grown, bottleneck, rest_cut_in);
                 self.extend::<FOLD>(at, grown, rest_cut_in, p + 1, left - 1);
             }
@@ -473,10 +475,14 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Records `ideal` as a boundary after stage `k`, unless the
-    /// even-split bound on the rest or a cheaper path to it rules it out.
-    /// On the folded stage the rest is the last stage: it is costed now,
-    /// and the completion is kept if it is the least so far.
+    /// Records `ideal` as a boundary after stage `k`, unless the bound on
+    /// the rest or a cheaper path to it rules it out. The rest fills `m`
+    /// stages, the dearest of which costs at least their mean, and the
+    /// mean costs at least a stage with a `1/m` share of the rest's MACs,
+    /// parameters and, under a monotone model, the bytes `ideal` sends
+    /// into it (the cost is linear but for the convex spill). On the
+    /// folded stage the rest is the last stage: it is costed now, and the
+    /// completion is kept if it is the least so far.
     fn offer<const FOLD: bool>(
         &mut self,
         at: &Frame<'_>,
@@ -494,9 +500,14 @@ impl<'a> Search<'a> {
         } else {
             (self.num_stages - at.k) as u64
         };
-        let spill = (rest_params / m).saturating_sub(self.model.cache_bytes);
-        let lb_rest = self.model.sec_per_mac * (rest_macs / m) as f64
-            + self.model.sec_per_byte * spill as f64;
+        let cut = if FOLD || !self.monotone {
+            0
+        } else {
+            rest_cut_in
+        };
+        let lb_rest = self
+            .model
+            .stage_cost(rest_params / m, rest_macs / m, cut / m);
         let promising = bottleneck.max(lb_rest) < self.ub;
         if !promising {
             return;

@@ -5,9 +5,10 @@
 //! and builds no frontier after the second-to-last stage: that stage's
 //! sweep costs the last stage of every boundary it offers and keeps the
 //! least completion. The reference below is a plainer search: node-id
-//! ready lists, `NodeSet` unions, `parent_of` maps, and a last stage that
-//! passes over the sorted last frontier and costs each boundary's whole
-//! residual from its edges. Both enumerate each ideal extension once,
+//! ready lists, `NodeSet` unions, `parent_of` maps, cut-in bytes summed
+//! from the graph's edges where the kernel keeps a running sum, and a
+//! last stage that passes over the sorted last frontier and costs each
+//! boundary's whole residual. Both enumerate each ideal extension once,
 //! adding its nodes in increasing topological position and visiting a
 //! boundary's extensions in that order, sort frontier ties by `NodeSet`
 //! order and prune on the same bounds, so they must return the same
@@ -53,6 +54,22 @@ fn union(a: &NodeSet, b: &NodeSet) -> NodeSet {
         s.insert(v);
     }
     s
+}
+
+/// Bytes that edges carry from inside `ideal` to outside it.
+fn cut_in(dag: &Dag, ideal: &NodeSet) -> u64 {
+    dag.edges()
+        .filter(|&(u, v)| ideal.contains(u) && !ideal.contains(v))
+        .map(|(u, _)| dag.node(u).output_bytes)
+        .sum()
+}
+
+/// Both coefficients are finite and `≥ 0`: a stage's cost never falls as
+/// its segment grows.
+fn monotone(model: &CostModel) -> bool {
+    [model.sec_per_mac, model.sec_per_byte]
+        .iter()
+        .all(|c| c.is_finite() && *c >= 0.0)
 }
 
 /// The schedule that puts every node outside `boundary`, the boundary
@@ -162,12 +179,7 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
                 last_boundaries += 1;
                 let rest_params = total_params - entry.covered_params;
                 let rest_macs = total_macs - entry.covered_macs;
-                let cut_in: u64 = dag
-                    .edges()
-                    .filter(|&(u, v)| boundary.contains(u) && !boundary.contains(v))
-                    .map(|(u, _)| dag.node(u).output_bytes)
-                    .sum();
-                let cost = model.stage_cost(rest_params, rest_macs, cut_in);
+                let cost = model.stage_cost(rest_params, rest_macs, cut_in(dag, boundary));
                 if cost < ub {
                     ub = entry.bottleneck.max(cost);
                     best = schedule_along(&parent_of, boundary, k, n, num_stages);
@@ -258,10 +270,21 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
                     } else {
                         let rest_params = total_params - covered_params - acc2.param_bytes;
                         let rest_macs = total_macs - covered_macs - acc2.macs;
+                        // every byte `d2` sends into the rest enters one of
+                        // its `m` stages; the share is a valid bound only
+                        // where costs never fall as a segment grows. At
+                        // m = 1 it is the last stage's own cost, which
+                        // drops what the kernel's folded stage declines
+                        // to complete
+                        let rest_cut_in = if monotone(dfs.model) {
+                            cut_in(dfs.dag, &d2)
+                        } else {
+                            0
+                        };
                         let m = (num_stages - k) as u64;
-                        let spill = (rest_params / m).saturating_sub(dfs.model.cache_bytes);
-                        let lb_rest = dfs.model.sec_per_mac * (rest_macs / m) as f64
-                            + dfs.model.sec_per_byte * spill as f64;
+                        let lb_rest =
+                            dfs.model
+                                .stage_cost(rest_params / m, rest_macs / m, rest_cut_in / m);
                         if nb.max(lb_rest) < *ub {
                             let insert = match next.get(&d2) {
                                 Some(e) => nb < e.bottleneck,
@@ -344,11 +367,7 @@ fn reference(solver: &ExactScheduler, dag: &Dag, num_stages: usize) -> Reference
             objective: model.objective(dag, &best),
             schedule: best,
             // the prunes assume costs that never fall as a segment grows
-            proven_optimal: !timed_out
-                && model.sec_per_mac.is_finite()
-                && model.sec_per_mac >= 0.0
-                && model.sec_per_byte.is_finite()
-                && model.sec_per_byte >= 0.0,
+            proven_optimal: !timed_out && monotone(&model),
             states_explored: states,
         },
         last_boundaries,

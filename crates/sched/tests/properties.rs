@@ -217,3 +217,55 @@ proptest! {
         prop_assert!(sol.objective <= packed + 1e-12);
     }
 }
+
+proptest! {
+    // the residual bound relies on "the largest of the rest's stages costs
+    // at least their mean", which holds in real numbers; were rounding to
+    // lift the bound an ulp above a tied optimum, the search would prune
+    // it and return a near-tie, which a relative tolerance would hide
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn exact_objective_is_the_brute_force_optimum_bit_for_bit(
+        seed in 0u64..1_000_000,
+        nodes in 7usize..=11,
+        deg in 1usize..=4,
+        stages in 2usize..=4,
+    ) {
+        // few distinct byte counts make many schedules tie
+        let cfg = SyntheticConfig {
+            num_nodes: nodes,
+            max_in_degree: deg,
+            param_bytes_range: (1, 48),
+            output_bytes_range: (1, 12),
+            ..SyntheticConfig::default()
+        };
+        let dag = SyntheticSampler::new(cfg, seed).sample();
+        let tiny_bytes = CostModel {
+            sec_per_mac: 1e-3,
+            sec_per_byte: 1.0,
+            cache_bytes: 4,
+        };
+        for model in [CostModel::coral(), CostModel::coral_uncached(), tiny_bytes] {
+            let want = brute::optimal_objective(&dag, stages, &model);
+            for solver in [
+                exact::ExactScheduler::new(model).with_warmstart_moves(0),
+                exact::ExactScheduler::new(model).with_warmstart_moves(200),
+                exact::ExactScheduler::cold(model),
+            ] {
+                let sol = solver.solve(&dag, stages).unwrap();
+                prop_assert!(sol.proven_optimal);
+                prop_assert_eq!(
+                    sol.objective.to_bits(),
+                    want.to_bits(),
+                    "{:?} moves={} cold={}: exact {} vs brute {}",
+                    model,
+                    solver.warmstart_moves,
+                    solver.cold_start,
+                    sol.objective,
+                    want
+                );
+            }
+        }
+    }
+}
