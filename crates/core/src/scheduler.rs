@@ -18,7 +18,6 @@ use crate::policy::{DecodeMode, PtrNetPolicy};
 pub struct RespectScheduler {
     policy: PtrNetPolicy,
     cost_model: CostModel,
-    repair_config: RepairConfig,
 }
 
 impl RespectScheduler {
@@ -28,19 +27,12 @@ impl RespectScheduler {
         RespectScheduler {
             policy,
             cost_model: CostModel::coral(),
-            repair_config: RepairConfig::default(),
         }
     }
 
     /// Overrides the cost model used by `ρ`.
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
         self.cost_model = model;
-        self
-    }
-
-    /// Overrides the post-inference processing options.
-    pub fn with_repair_config(mut self, config: RepairConfig) -> Self {
-        self.repair_config = config;
         self
     }
 
@@ -76,7 +68,7 @@ impl Scheduler for RespectScheduler {
         let (packed, _) = pack::pack(dag, &pi, num_stages, &self.cost_model);
         // post-inference processing (dependency push-forward is a no-op
         // when dependency masking was on; sibling co-location may adjust)
-        repair(dag, packed.stage_of(), num_stages, self.repair_config)
+        repair(dag, packed.stage_of(), num_stages, RepairConfig::default())
     }
 }
 

@@ -3,10 +3,11 @@
 //!
 //! One command per line; blank lines and `#` comments are skipped.
 //! Errors carry the 1-based `line:col` of the offense within the
-//! command stream ([`DbgError`]).
+//! command stream ([`ScnError`]).
+
+use respect_scn::ScnError;
 
 use crate::pred::{kind_mask, parse_pred, CompiledPred};
-use crate::DbgError;
 
 /// One parsed debugger command.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +67,7 @@ predicates:
            (aliases: repartition, scale, any; `bus` = a bus hold)
   fields:  t tenant chain request stage device queue backlog size
            latency divergence   e.g. `shed and tenant == 1`
-  combine: and, or, not, nth N <pred>, parentheses; time units ms/us/s";
+  combine: and, or, not, nth N <pred>, parentheses; time units s/ms/us/ns";
 
 /// Splits `line` at its first word: `(word, rest, rest_col)` with
 /// `rest_col` the 1-based column where `rest` begins.
@@ -86,20 +87,20 @@ fn split_word(line: &str) -> (&str, &str, usize) {
 ///
 /// # Errors
 ///
-/// [`DbgError`] at the offending `line_no:col` for unknown commands,
+/// [`ScnError`] at the offending `line_no:col` for unknown commands,
 /// malformed arguments, and predicate errors.
-pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgError> {
+pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, ScnError> {
     let stripped = line.trim();
     if stripped.is_empty() || stripped.starts_with('#') {
         return Ok(None);
     }
     let (word, rest, rest_col) = split_word(line);
     let word_col = line.len() - line.trim_start().len() + 1;
-    let no_args = |cmd: Command| -> Result<Option<Command>, DbgError> {
+    let no_args = |cmd: Command| -> Result<Option<Command>, ScnError> {
         if rest.is_empty() {
             Ok(Some(cmd))
         } else {
-            Err(DbgError::at(
+            Err(ScnError::at(
                 line_no,
                 rest_col,
                 format!("`{word}` takes no arguments"),
@@ -112,10 +113,10 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
                 return Ok(Some(Command::Step(1)));
             }
             let n: u64 = rest.parse().map_err(|_| {
-                DbgError::at(line_no, rest_col, "`step` takes a positive event count")
+                ScnError::at(line_no, rest_col, "`step` takes a positive event count")
             })?;
             if n == 0 {
-                return Err(DbgError::at(
+                return Err(ScnError::at(
                     line_no,
                     rest_col,
                     "`step` takes a positive event count",
@@ -128,7 +129,7 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
                 mask,
                 name: rest.to_string(),
             })),
-            _ => Err(DbgError::at(
+            _ => Err(ScnError::at(
                 line_no,
                 rest_col,
                 format!("`next` needs an event kind, got `{rest}`"),
@@ -137,13 +138,13 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
         "continue" | "c" => no_args(Command::Continue),
         "break" | "b" => {
             if rest.is_empty() {
-                return Err(DbgError::at(line_no, rest_col, "`break` needs a predicate"));
+                return Err(ScnError::at(line_no, rest_col, "`break` needs a predicate"));
             }
             Ok(Some(Command::Break(parse_pred(rest, line_no, rest_col)?)))
         }
         "watch" | "w" => {
             if rest.is_empty() {
-                return Err(DbgError::at(line_no, rest_col, "`watch` needs a predicate"));
+                return Err(ScnError::at(line_no, rest_col, "`watch` needs a predicate"));
             }
             Ok(Some(Command::Watch(parse_pred(rest, line_no, rest_col)?)))
         }
@@ -151,7 +152,7 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
             let id_text = rest.strip_prefix('#').unwrap_or(rest);
             let id: u32 = id_text
                 .parse()
-                .map_err(|_| DbgError::at(line_no, rest_col, "`delete` takes a breakpoint id"))?;
+                .map_err(|_| ScnError::at(line_no, rest_col, "`delete` takes a breakpoint id"))?;
             Ok(Some(Command::Delete(id)))
         }
         "list" | "l" => no_args(Command::List),
@@ -161,10 +162,10 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
                 return Ok(Some(Command::Trace(16)));
             }
             let n: u64 = rest.parse().map_err(|_| {
-                DbgError::at(line_no, rest_col, "`trace` takes a positive event count")
+                ScnError::at(line_no, rest_col, "`trace` takes a positive event count")
             })?;
             if n == 0 {
-                return Err(DbgError::at(
+                return Err(ScnError::at(
                     line_no,
                     rest_col,
                     "`trace` takes a positive event count",
@@ -175,13 +176,13 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, DbgE
         "metrics" | "m" => no_args(Command::Metrics),
         "dump" => {
             if rest.is_empty() {
-                return Err(DbgError::at(line_no, rest_col, "`dump` needs a file path"));
+                return Err(ScnError::at(line_no, rest_col, "`dump` needs a file path"));
             }
             Ok(Some(Command::Dump(rest.to_string())))
         }
         "help" | "h" | "?" => no_args(Command::Help),
         "quit" | "q" => no_args(Command::Quit),
-        other => Err(DbgError::at(
+        other => Err(ScnError::at(
             line_no,
             word_col,
             format!("unknown command `{other}` (try `help`)"),

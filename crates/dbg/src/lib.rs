@@ -13,8 +13,9 @@
 //!   (`shed`, `drift`, `scale_up`, ...), field comparisons
 //!   (`tenant == 1`, `t >= 10ms`, `queue > 4`, `backlog >= 8`),
 //!   `and` / `or` / `not`, and `nth N <pred>` occurrence counters,
-//!   compiled by a hand-rolled lexer + recursive-descent parser with
-//!   `line:col` diagnostics ([`DbgError`]).
+//!   tokenized by the `.scn` lexer and compiled by a recursive-descent
+//!   parser, with the `.scn` language's `line:col` diagnostics
+//!   ([`ScnError`](respect_scn::ScnError)).
 //! * [`session`] — [`DebugSession`]: implements `Probe` with
 //!   `INSPECT = true`, so the engine suspends itself at the next safe
 //!   point after a breakpoint fires and hands the session an
@@ -40,9 +41,6 @@
 //! assert_eq!(out.run, scenario.execute().unwrap());
 //! ```
 
-use std::error::Error;
-use std::fmt;
-
 pub mod cmd;
 pub mod pred;
 pub mod session;
@@ -50,36 +48,3 @@ pub mod session;
 pub use cmd::Command;
 pub use pred::{CompiledPred, EvalCx};
 pub use session::{CommandSource, DebugOutcome, DebugSession, ScriptSource, StdinSource};
-
-/// A debugger error (bad predicate, bad command) with its 1-based
-/// source position — line numbers count command lines (script lines in
-/// scripted mode, prompts in interactive mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DbgError {
-    /// 1-based command line of the offense.
-    pub line: usize,
-    /// 1-based column of the offense.
-    pub col: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl DbgError {
-    /// An error at `line:col`.
-    #[must_use]
-    pub fn at(line: usize, col: usize, msg: impl Into<String>) -> Self {
-        DbgError {
-            line,
-            col,
-            msg: msg.into(),
-        }
-    }
-}
-
-impl fmt::Display for DbgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.col, self.msg)
-    }
-}
-
-impl Error for DbgError {}

@@ -1,8 +1,9 @@
 //! The breakpoint predicate language.
 //!
 //! A predicate matches individual [`ProbeEvent`]s as they stream out of
-//! a running engine. Grammar (hand-rolled lexer + recursive-descent
-//! parser, `line:col` diagnostics like the `.scn` parser):
+//! a running engine. Predicates are tokenized by the `.scn` lexer
+//! ([`respect_scn::lex::lex`]) and parsed by recursive descent, with
+//! [`ScnError`] `line:col` diagnostics:
 //!
 //! ```text
 //! pred    := or
@@ -28,8 +29,9 @@
 //!   (chain, tenant) and `backlog` the chain's in-system count
 //!   (arrived − shed − completed) — both reconstructed from the event
 //!   stream itself, valued *after* the event applies.
-//! * Numbers accept `.scn`-style time suffixes: `10ms` = `0.01`,
-//!   `5us` = `5e-6`, `2s` = `2`.
+//! * Numbers are `.scn` literals: exponents (`5e-3`) and the time
+//!   units `s`, `ms`, `us` and `ns` (`10ms` = `0.01`, `500ns` = `5e-7`).
+//!   A leading `.` is no number (write `0.5`), and `#` starts a comment.
 //! * `nth N <pred>` fires exactly once: on the N-th event matching
 //!   `<pred>` (occurrences are counted per breakpoint, per run).
 //!
@@ -50,11 +52,15 @@
 
 use std::fmt;
 
+use std::iter::Peekable;
+use std::vec::IntoIter;
+
 use respect_obs::render::{kind_index, KINDS};
+use respect_scn::ast::Cmp;
+use respect_scn::lex::{lex, Tok, Token, Unit};
+use respect_scn::ScnError;
 use respect_tpu::probe::ProbeEvent;
 use respect_tpu::sim::ResourceId;
-
-use crate::DbgError;
 
 /// The bitmask a kind name (or group alias) selects, if any: bit `i`
 /// is [`KINDS`]`[i]`, and a group `g` selects every kind named `g_*`.
@@ -144,47 +150,6 @@ impl Field {
     }
 }
 
-/// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `==` (also spelled `=`)
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    fn eval(self, l: f64, r: f64) -> bool {
-        match self {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        }
-    }
-
-    fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
-
 /// A parsed predicate node.
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
@@ -199,7 +164,7 @@ enum Node {
     /// `field op value`.
     Cmp {
         field: Field,
-        op: CmpOp,
+        op: Cmp,
         value: f64,
     },
     /// `nth N inner`: true exactly on the N-th match of `inner`.
@@ -472,340 +437,178 @@ impl fmt::Display for CompiledPred {
     }
 }
 
-// ---------------------------------------------------------------- lexer
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(f64),
-    Op(CmpOp),
-    LParen,
-    RParen,
-}
-
-#[derive(Debug, Clone)]
-struct Sp {
-    tok: Tok,
-    col: usize,
-}
-
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-    col0: usize,
-}
-
-impl<'a> Lexer<'a> {
-    /// 1-based column of byte offset `pos` in the original line.
-    fn col(&self, pos: usize) -> usize {
-        self.col0 + pos
-    }
-
-    fn err(&self, pos: usize, msg: impl Into<String>) -> DbgError {
-        DbgError::at(self.line, self.col(pos), msg)
-    }
-
-    fn lex(mut self) -> Result<Vec<Sp>, DbgError> {
-        let mut out = Vec::new();
-        while self.pos < self.src.len() {
-            let c = self.src[self.pos];
-            let start = self.pos;
-            match c {
-                b' ' | b'\t' => {
-                    self.pos += 1;
-                }
-                b'(' => {
-                    self.pos += 1;
-                    out.push(Sp {
-                        tok: Tok::LParen,
-                        col: self.col(start),
-                    });
-                }
-                b')' => {
-                    self.pos += 1;
-                    out.push(Sp {
-                        tok: Tok::RParen,
-                        col: self.col(start),
-                    });
-                }
-                b'=' | b'!' | b'<' | b'>' => {
-                    let two = self.src.get(self.pos + 1) == Some(&b'=');
-                    let op = match (c, two) {
-                        (b'=', _) => CmpOp::Eq,
-                        (b'!', true) => CmpOp::Ne,
-                        (b'!', false) => {
-                            return Err(self.err(start, "expected `!=`"));
-                        }
-                        (b'<', true) => CmpOp::Le,
-                        (b'<', false) => CmpOp::Lt,
-                        (b'>', true) => CmpOp::Ge,
-                        _ => CmpOp::Gt,
-                    };
-                    self.pos += if two { 2 } else { 1 };
-                    out.push(Sp {
-                        tok: Tok::Op(op),
-                        col: self.col(start),
-                    });
-                }
-                b'0'..=b'9' | b'.' => {
-                    while self.pos < self.src.len()
-                        && matches!(self.src[self.pos], b'0'..=b'9' | b'.')
-                    {
-                        self.pos += 1;
-                    }
-                    let digits = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                    let base: f64 = digits
-                        .parse()
-                        .map_err(|_| self.err(start, format!("bad number `{digits}`")))?;
-                    let sufs = self.pos;
-                    while self.pos < self.src.len() && self.src[self.pos].is_ascii_alphabetic() {
-                        self.pos += 1;
-                    }
-                    let suffix = std::str::from_utf8(&self.src[sufs..self.pos]).unwrap();
-                    let scale = match suffix {
-                        "" | "s" => 1.0,
-                        "ms" => 1e-3,
-                        "us" => 1e-6,
-                        other => {
-                            return Err(self.err(
-                                sufs,
-                                format!("unknown unit `{other}` (expected s, ms, or us)"),
-                            ));
-                        }
-                    };
-                    out.push(Sp {
-                        tok: Tok::Num(base * scale),
-                        col: self.col(start),
-                    });
-                }
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    while self.pos < self.src.len()
-                        && matches!(self.src[self.pos], b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
-                    {
-                        self.pos += 1;
-                    }
-                    let word = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                    out.push(Sp {
-                        tok: Tok::Ident(word.to_string()),
-                        col: self.col(start),
-                    });
-                }
-                other => {
-                    return Err(
-                        self.err(start, format!("unexpected character `{}`", other as char))
-                    );
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
 // --------------------------------------------------------------- parser
 
+/// A number token's value with its time unit applied (`10ms` = 0.01).
+fn number(t: &Token) -> Option<f64> {
+    match t.tok {
+        Tok::Number { value, unit } => Some(value * unit.map_or(1.0, Unit::seconds)),
+        _ => None,
+    }
+}
+
+/// A comparison token; `=` reads as `==`.
+fn cmp_op(t: &Token) -> Option<Cmp> {
+    match t.tok {
+        Tok::Assign => Some(Cmp::Eq),
+        ref tok => tok.comparison(),
+    }
+}
+
+/// Whether `t` is the bare word `word`.
+fn is_word(t: Option<&Token>, word: &str) -> bool {
+    matches!(t, Some(Token { tok: Tok::Ident(w), .. }) if w == word)
+}
+
 struct Parser {
-    toks: Vec<Sp>,
-    idx: usize,
+    toks: Peekable<IntoIter<Token>>,
     line: usize,
     end_col: usize,
     counters: usize,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Sp> {
-        self.toks.get(self.idx)
+    /// An error at the end of the predicate.
+    fn err_end(&self, msg: impl Into<String>) -> ScnError {
+        ScnError::at(self.line, self.end_col, msg)
     }
 
-    fn next(&mut self) -> Option<Sp> {
-        let t = self.toks.get(self.idx).cloned();
-        if t.is_some() {
-            self.idx += 1;
-        }
-        t
-    }
-
-    fn err_here(&self, msg: impl Into<String>) -> DbgError {
-        let col = self.peek().map_or(self.end_col, |s| s.col);
-        DbgError::at(self.line, col, msg)
-    }
-
-    fn expect_rparen(&mut self, open_col: usize) -> Result<(), DbgError> {
-        match self.next() {
-            Some(Sp {
-                tok: Tok::RParen, ..
-            }) => Ok(()),
-            Some(s) => Err(DbgError::at(self.line, s.col, "expected `)`")),
-            None => Err(DbgError::at(
-                self.line,
-                self.end_col,
-                format!("unclosed `(` opened at column {open_col}"),
-            )),
-        }
-    }
-
-    fn pred(&mut self) -> Result<Node, DbgError> {
+    fn pred(&mut self) -> Result<Node, ScnError> {
         let mut lhs = self.and_expr()?;
-        while matches!(self.peek(), Some(Sp { tok: Tok::Ident(w), .. }) if w == "or") {
-            self.next();
+        while is_word(self.toks.peek(), "or") {
+            self.toks.next();
             let rhs = self.and_expr()?;
             lhs = Node::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Node, DbgError> {
+    fn and_expr(&mut self) -> Result<Node, ScnError> {
         let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some(Sp { tok: Tok::Ident(w), .. }) if w == "and") {
-            self.next();
+        while is_word(self.toks.peek(), "and") {
+            self.toks.next();
             let rhs = self.unary()?;
             lhs = Node::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Node, DbgError> {
-        if let Some(Sp {
-            tok: Tok::Ident(w), ..
-        }) = self.peek()
-        {
-            if w == "not" {
-                self.next();
-                let inner = self.unary()?;
-                return Ok(Node::Not(Box::new(inner)));
-            }
-            if w == "nth" {
-                self.next();
-                let n = match self.next() {
-                    Some(Sp {
-                        tok: Tok::Num(v), ..
-                    }) if v.fract() == 0.0 && v >= 1.0 => v as u64,
-                    Some(s) => {
-                        return Err(DbgError::at(
-                            self.line,
-                            s.col,
-                            "`nth` needs a positive integer count",
-                        ));
-                    }
-                    None => {
-                        return Err(self.err_here("`nth` needs a positive integer count"));
-                    }
-                };
-                let slot = self.counters;
-                self.counters += 1;
-                let inner = self.unary()?;
-                return Ok(Node::Nth {
-                    n,
-                    slot,
-                    inner: Box::new(inner),
-                });
-            }
+    fn unary(&mut self) -> Result<Node, ScnError> {
+        if is_word(self.toks.peek(), "not") {
+            self.toks.next();
+            let inner = self.unary()?;
+            return Ok(Node::Not(Box::new(inner)));
+        }
+        if is_word(self.toks.peek(), "nth") {
+            const COUNT: &str = "`nth` needs a positive integer count";
+            self.toks.next();
+            let n = match self.toks.next() {
+                Some(t) => match number(&t) {
+                    Some(v) if v.fract() == 0.0 && v >= 1.0 => v as u64,
+                    _ => return Err(ScnError::at(t.line, t.col, COUNT)),
+                },
+                None => return Err(self.err_end(COUNT)),
+            };
+            let slot = self.counters;
+            self.counters += 1;
+            let inner = self.unary()?;
+            return Ok(Node::Nth {
+                n,
+                slot,
+                inner: Box::new(inner),
+            });
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Node, DbgError> {
-        match self.next() {
-            Some(Sp {
-                tok: Tok::LParen,
-                col,
-            }) => {
+    fn primary(&mut self) -> Result<Node, ScnError> {
+        let Some(t) = self.toks.next() else {
+            return Err(self.err_end("expected a predicate"));
+        };
+        let w = match t.tok {
+            Tok::LParen => {
                 let inner = self.pred()?;
-                self.expect_rparen(col)?;
-                Ok(inner)
+                return match self.toks.next() {
+                    Some(Token {
+                        tok: Tok::RParen, ..
+                    }) => Ok(inner),
+                    Some(s) => Err(ScnError::at(s.line, s.col, "expected `)`")),
+                    None => Err(self.err_end(format!("unclosed `(` opened at column {}", t.col))),
+                };
             }
-            Some(Sp {
-                tok: Tok::Ident(w),
-                col,
-            }) => {
-                // a field comparison?
-                if let Some(field) = Field::from_name(&w) {
-                    if let Some(Sp {
-                        tok: Tok::Op(_), ..
-                    }) = self.peek()
-                    {
-                        let Some(Sp {
-                            tok: Tok::Op(op), ..
-                        }) = self.next()
-                        else {
-                            unreachable!("peeked an op");
-                        };
-                        let value = match self.next() {
-                            Some(Sp {
-                                tok: Tok::Num(v), ..
-                            }) => v,
-                            Some(s) => {
-                                return Err(DbgError::at(self.line, s.col, "expected a number"));
-                            }
-                            None => return Err(self.err_here("expected a number")),
-                        };
-                        return Ok(Node::Cmp { field, op, value });
-                    }
-                    // a bare field that is not also a kind is an error
-                    if kind_mask(&w).is_none() && w != "bus" {
-                        return Err(DbgError::at(
-                            self.line,
-                            col,
-                            format!("field `{w}` needs a comparison (e.g. `{w} == 1`)"),
-                        ));
-                    }
-                }
-                if w == "bus" {
-                    return Ok(Node::Bus);
-                }
-                if let Some(mask) = kind_mask(&w) {
-                    return Ok(Node::Kinds { mask, name: w });
-                }
-                Err(DbgError::at(
-                    self.line,
-                    col,
-                    format!("unknown kind or field `{w}`"),
+            Tok::Ident(w) => w,
+            _ => {
+                return Err(ScnError::at(
+                    t.line,
+                    t.col,
+                    "expected a kind, a field comparison, `not`, `nth`, or `(`",
                 ))
             }
-            Some(s) => Err(DbgError::at(
-                self.line,
-                s.col,
-                "expected a kind, a field comparison, `not`, `nth`, or `(`",
-            )),
-            None => Err(DbgError::at(
-                self.line,
-                self.end_col,
-                "expected a predicate",
-            )),
+        };
+        // a field comparison?
+        if let Some(field) = Field::from_name(&w) {
+            if let Some(op) = self.toks.peek().and_then(cmp_op) {
+                self.toks.next();
+                let value = match self.toks.next() {
+                    Some(v) => number(&v)
+                        .ok_or_else(|| ScnError::at(v.line, v.col, "expected a number"))?,
+                    None => return Err(self.err_end("expected a number")),
+                };
+                return Ok(Node::Cmp { field, op, value });
+            }
+            // a bare field that is not also a kind is an error
+            if kind_mask(&w).is_none() && w != "bus" {
+                return Err(ScnError::at(
+                    t.line,
+                    t.col,
+                    format!("field `{w}` needs a comparison (e.g. `{w} == 1`)"),
+                ));
+            }
         }
+        if w == "bus" {
+            return Ok(Node::Bus);
+        }
+        if let Some(mask) = kind_mask(&w) {
+            return Ok(Node::Kinds { mask, name: w });
+        }
+        Err(ScnError::at(
+            t.line,
+            t.col,
+            format!("unknown kind or field `{w}`"),
+        ))
     }
 }
 
 /// Parses a predicate from `src`, reporting errors at positions offset
-/// by `line` and `col0` (the 1-based position of `src`'s first byte in
-/// the command line it was embedded in).
+/// by `line` and `col0` (the 1-based position of `src`'s first
+/// character in the command line it was embedded in); columns count
+/// characters, as the `.scn` lexer does.
 ///
 /// # Errors
 ///
-/// [`DbgError`] at the offending `line:col` for lexical errors, unknown
-/// kinds or fields, bare fields without a comparison, and malformed
-/// structure.
-pub fn parse_pred(src: &str, line: usize, col0: usize) -> Result<CompiledPred, DbgError> {
-    let lexer = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line,
-        col0,
-    };
-    let toks = lexer.lex()?;
-    let end_col = col0 + src.len();
+/// [`ScnError`] at the offending `line:col` for lexical errors (those of
+/// the `.scn` lexer), unknown kinds or fields, bare fields without a
+/// comparison, and malformed structure.
+pub fn parse_pred(src: &str, line: usize, col0: usize) -> Result<CompiledPred, ScnError> {
+    // `src` lexes as line 1 from column 1; move every position into the
+    // command line
+    let mut toks = lex(src).map_err(|e| ScnError::at(line, e.col + col0 - 1, e.msg))?;
+    toks.pop(); // the closing `Newline`, when there are tokens at all
+    for t in &mut toks {
+        t.line = line;
+        t.col = t.col + col0 - 1;
+    }
     let mut p = Parser {
-        toks,
-        idx: 0,
+        toks: toks.into_iter().peekable(),
         line,
-        end_col,
+        end_col: col0 + src.chars().count(),
         counters: 0,
     };
     let root = p.pred()?;
-    if let Some(s) = p.peek() {
-        return Err(DbgError::at(
-            line,
-            s.col,
+    if let Some(t) = p.toks.next() {
+        return Err(ScnError::at(
+            t.line,
+            t.col,
             "trailing input after the predicate",
         ));
     }

@@ -2,7 +2,7 @@
 //! combinator semantics, and `nth` occurrence counters.
 
 use respect_dbg::pred::{event_bit, kind_mask, parse_pred, EvalCx};
-use respect_dbg::DbgError;
+use respect_scn::ScnError;
 use respect_tpu::probe::{ProbeEvent, ShedReason};
 use respect_tpu::sim::ResourceId;
 
@@ -31,7 +31,7 @@ fn matches(src: &str, t: f64, ev: &ProbeEvent) -> bool {
     p.eval(&EvalCx::new(t, ev), &mut counters)
 }
 
-fn parse_err(src: &str) -> DbgError {
+fn parse_err(src: &str) -> ScnError {
     parse_pred(src, 1, 1).expect_err("predicate must not parse")
 }
 
@@ -96,6 +96,20 @@ fn field_comparisons_and_time_units() {
     assert!(!matches("t >= 10ms", 0.009, &shed(0, 0)));
     assert!(matches("latency < 5ms", 0.0, &completion(0, 0.004)));
     assert!(matches("latency > 500us", 0.0, &completion(0, 0.004)));
+}
+
+#[test]
+fn scn_literals_nanoseconds_exponents_and_comments() {
+    // the `.scn` lexer's forms: `ns`, exponents, `#` comments
+    assert!(matches("t >= 500ns", 501e-9, &shed(0, 0)));
+    assert!(!matches("t >= 500ns", 499e-9, &shed(0, 0)));
+    assert!(matches("t >= 5e-3", 0.005, &shed(0, 0)));
+    assert!(!matches("t >= 5e-3", 0.0049, &shed(0, 0)));
+    assert!(matches("shed # the first one", 0.0, &shed(0, 0)));
+    // a leading `.` is no number: the comparison finds a `.` instead
+    let e = parse_err("t >= .5");
+    assert_eq!((e.line, e.col), (1, 6));
+    assert_eq!(e.msg, "expected a number");
 }
 
 #[test]
@@ -207,7 +221,7 @@ fn parse_errors_are_pinned_at_line_col() {
     // bad unit suffix
     let e = parse_err("t >= 10min");
     assert_eq!((e.line, e.col), (1, 8));
-    assert!(e.msg.contains("unknown unit `min`"), "{e}");
+    assert_eq!(e.msg, "unknown time unit `min` (expected s, ms, us, or ns)");
 
     // nth needs a positive integer
     let e = parse_err("nth 0 shed");
@@ -228,5 +242,5 @@ fn parse_errors_are_pinned_at_line_col() {
 fn lone_bang_is_rejected() {
     let e = parse_err("tenant ! 1");
     assert_eq!((e.line, e.col), (1, 8));
-    assert!(e.msg.contains("expected `!=`"), "{e}");
+    assert_eq!(e.msg, "unexpected character `!`");
 }

@@ -22,31 +22,26 @@ use crate::Scheduler;
 ///
 /// FDS assigns control steps under a latency bound, not pipeline stages,
 /// so the adapter is a list-scheduling projection: run
-/// [`force_directed`] with latency `depth + 1 + slack` (the minimum
-/// feasible bound plus [`ForceDirected::slack`] steps of freedom), order
-/// nodes by `(step, node id)` — a topological order, since edges strictly
-/// increase steps — and cut that order into `num_stages` contiguous
-/// segments with the optimal packing DP ([`pack::pack`]).
+/// [`force_directed`] with latency `depth + 3` (the minimum feasible
+/// bound plus two steps of slack), order nodes by `(step, node id)` — a
+/// topological order, since edges strictly increase steps — and cut that
+/// order into `num_stages` contiguous segments with the optimal packing
+/// DP ([`pack::pack`]).
 #[derive(Debug, Clone, Copy)]
 #[must_use]
 pub struct ForceDirected {
     model: CostModel,
-    /// Latency slack beyond the critical path (default 2). More slack
-    /// widens the `[ASAP, ALAP]` frames FDS balances over, at quadratic
-    /// cost in frame width.
-    pub slack: usize,
 }
 
-impl ForceDirected {
-    /// Creates the adapter with the default slack of 2 steps.
-    pub fn new(model: CostModel) -> Self {
-        ForceDirected { model, slack: 2 }
-    }
+/// Latency slack of [`ForceDirected`] beyond the critical path. More
+/// slack widens the `[ASAP, ALAP]` frames FDS balances over, at
+/// quadratic cost in frame width.
+const SLACK: usize = 2;
 
-    /// Overrides the latency slack.
-    pub fn with_slack(mut self, slack: usize) -> Self {
-        self.slack = slack;
-        self
+impl ForceDirected {
+    /// Creates the adapter.
+    pub fn new(model: CostModel) -> Self {
+        ForceDirected { model }
     }
 }
 
@@ -65,7 +60,7 @@ impl Scheduler for ForceDirected {
         if num_stages == 0 {
             return Err(ScheduleError::NoStages);
         }
-        let latency = dag.depth() + 1 + self.slack;
+        let latency = dag.depth() + 1 + SLACK;
         let steps = force_directed(dag, latency);
         let mut order: Vec<NodeId> = dag.node_ids().collect();
         order.sort_by_key(|&v| (steps[v.index()], v));

@@ -11,7 +11,7 @@
 //! order), and a useful middle ground between the parameter-balancing
 //! compiler and the exact solver.
 
-use respect_graph::Dag;
+use respect_graph::{Dag, NodeId};
 
 use crate::cost::{CostModel, SegmentAccumulator};
 use crate::incremental::IncrementalEvaluator;
@@ -19,59 +19,26 @@ use crate::order;
 use crate::schedule::{Schedule, ScheduleError};
 use crate::Scheduler;
 
+/// Boundary-refinement sweeps over the cuts after the greedy pass.
+const REFINE_PASSES: usize = 2;
+
 /// Greedy cost-threshold list scheduler.
 #[derive(Debug, Clone, Copy)]
 #[must_use]
 pub struct GreedyCost {
     model: CostModel,
-    /// Multiplier on the even-split target before cutting (1.0 = cut as
-    /// soon as the target is exceeded).
-    slack: f64,
-    /// Boundary-refinement sweeps over the cuts after the greedy pass
-    /// (0 disables refinement).
-    refine_passes: usize,
 }
 
 impl GreedyCost {
-    /// Creates the scheduler with default slack 1.0 and two boundary
-    /// refinement sweeps.
+    /// Creates the scheduler: cut as soon as a segment reaches the
+    /// even-split target, then two boundary-refinement sweeps.
     pub fn new(model: CostModel) -> Self {
-        GreedyCost {
-            model,
-            slack: 1.0,
-            refine_passes: 2,
-        }
+        GreedyCost { model }
     }
 
-    /// Adjusts the cut threshold multiplier.
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        self.slack = slack;
-        self
-    }
-
-    /// Overrides the number of boundary-refinement sweeps (0 reproduces
-    /// the pure one-pass list scheduler).
-    pub fn with_refinement(mut self, passes: usize) -> Self {
-        self.refine_passes = passes;
-        self
-    }
-}
-
-impl Default for GreedyCost {
-    fn default() -> Self {
-        Self::new(CostModel::default())
-    }
-}
-
-impl Scheduler for GreedyCost {
-    fn name(&self) -> &str {
-        "greedy list"
-    }
-
-    fn schedule(&self, dag: &Dag, num_stages: usize) -> Result<Schedule, ScheduleError> {
-        if num_stages == 0 {
-            return Err(ScheduleError::NoStages);
-        }
+    /// The pure one-pass list scheduler: the default topological order
+    /// and the cut positions of its greedy pass, before refinement.
+    fn one_pass(&self, dag: &Dag, num_stages: usize) -> (Vec<NodeId>, Vec<usize>) {
         let sequence = order::default_order(dag);
         let pos = order::positions(dag, &sequence);
 
@@ -83,7 +50,7 @@ impl Scheduler for GreedyCost {
             }
             acc.cost(&self.model)
         };
-        let target = self.slack * total_cost / num_stages as f64;
+        let target = total_cost / num_stages as f64;
 
         let mut cuts = Vec::with_capacity(num_stages - 1);
         let mut start = 0usize;
@@ -104,8 +71,28 @@ impl Scheduler for GreedyCost {
         while cuts.len() + 1 < num_stages {
             cuts.push(sequence.len());
         }
+        (sequence, cuts)
+    }
+}
+
+impl Default for GreedyCost {
+    fn default() -> Self {
+        Self::new(CostModel::default())
+    }
+}
+
+impl Scheduler for GreedyCost {
+    fn name(&self) -> &str {
+        "greedy list"
+    }
+
+    fn schedule(&self, dag: &Dag, num_stages: usize) -> Result<Schedule, ScheduleError> {
+        if num_stages == 0 {
+            return Err(ScheduleError::NoStages);
+        }
+        let (sequence, mut cuts) = self.one_pass(dag, num_stages);
         let schedule = Schedule::from_cuts(&sequence, &cuts, num_stages);
-        if self.refine_passes == 0 || num_stages < 2 {
+        if num_stages < 2 {
             return Ok(schedule);
         }
 
@@ -113,7 +100,7 @@ impl Scheduler for GreedyCost {
         // one-node shift incrementally instead of re-aggregating stages
         let mut eval = IncrementalEvaluator::new(dag, self.model, &schedule);
         let mut obj = eval.bottleneck();
-        for _ in 0..self.refine_passes {
+        for _ in 0..REFINE_PASSES {
             let mut improved = false;
             for idx in 0..cuts.len() {
                 loop {
@@ -206,13 +193,12 @@ mod tests {
     #[test]
     fn refinement_never_worsens_and_stays_valid() {
         let model = CostModel::coral();
+        let greedy = GreedyCost::new(model);
         for (name, dag) in models::table1() {
             for k in [2, 4, 6] {
-                let plain = GreedyCost::new(model)
-                    .with_refinement(0)
-                    .schedule(&dag, k)
-                    .unwrap();
-                let refined = GreedyCost::new(model).schedule(&dag, k).unwrap();
+                let (sequence, cuts) = greedy.one_pass(&dag, k);
+                let plain = Schedule::from_cuts(&sequence, &cuts, k);
+                let refined = greedy.schedule(&dag, k).unwrap();
                 assert!(refined.is_valid(&dag), "{name} k={k}");
                 assert!(
                     model.objective(&dag, &refined) <= model.objective(&dag, &plain) + 1e-18,
@@ -220,18 +206,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn slack_changes_cut_placement() {
-        let dag = models::resnet50();
-        let a = GreedyCost::new(CostModel::coral())
-            .schedule(&dag, 4)
-            .unwrap();
-        let b = GreedyCost::new(CostModel::coral())
-            .with_slack(1.8)
-            .schedule(&dag, 4)
-            .unwrap();
-        assert_ne!(a, b);
     }
 }

@@ -68,8 +68,7 @@ use crate::Scheduler;
 ///
 /// Entries read only the knobs that apply to them: `"anneal"` reads the
 /// seed and iteration budget, `"exact"`/`"ilp"` read the time budget,
-/// `"brute"` reads the node cap, `"force"` the latency slack, and the
-/// cost-blind balancers read nothing.
+/// and the cost-blind balancers read nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use]
 pub struct BuildOptions {
@@ -81,10 +80,6 @@ pub struct BuildOptions {
     pub iterations: Option<usize>,
     /// Wall-clock budget for anytime solvers (`"exact"`, `"ilp"`).
     pub time_budget: Option<Duration>,
-    /// Node cap for the exhaustive solver (`"brute"`).
-    pub brute_max_nodes: Option<usize>,
-    /// Latency slack for force-directed scheduling (`"force"`).
-    pub force_slack: Option<usize>,
 }
 
 impl BuildOptions {
@@ -95,8 +90,6 @@ impl BuildOptions {
             seed: 0x5eed,
             iterations: None,
             time_budget: None,
-            brute_max_nodes: None,
-            force_slack: None,
         }
     }
 
@@ -121,18 +114,6 @@ impl BuildOptions {
     /// Sets the wall-clock budget for anytime solvers.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Sets the exhaustive solver's node cap.
-    pub fn with_brute_max_nodes(mut self, max_nodes: usize) -> Self {
-        self.brute_max_nodes = Some(max_nodes);
-        self
-    }
-
-    /// Sets the force-directed latency slack.
-    pub fn with_force_slack(mut self, slack: usize) -> Self {
-        self.force_slack = Some(slack);
         self
     }
 }
@@ -218,21 +199,9 @@ impl Registry {
             }
             Box::new(s)
         });
-        r.register("brute", |o| {
-            let mut s = BruteForce::new(o.cost_model);
-            if let Some(cap) = o.brute_max_nodes {
-                s = s.with_max_nodes(cap);
-            }
-            Box::new(s)
-        });
+        r.register("brute", |o| Box::new(BruteForce::new(o.cost_model)));
         r.register("hu", |o| Box::new(HuList::new(o.cost_model)));
-        r.register("force", |o| {
-            let mut s = ForceDirected::new(o.cost_model);
-            if let Some(slack) = o.force_slack {
-                s = s.with_slack(slack);
-            }
-            Box::new(s)
-        });
+        r.register("force", |o| Box::new(ForceDirected::new(o.cost_model)));
         r
     }
 
@@ -389,9 +358,6 @@ mod tests {
         .schedule(&dag, 3)
         .unwrap();
         assert_eq!(a, b, "same seed and budget must reproduce bitwise");
-        // the brute cap is honored
-        let capped = build("brute", &BuildOptions::default().with_brute_max_nodes(4)).unwrap();
-        assert!(capped.schedule(&dag, 2).is_err(), "8 nodes > cap 4");
     }
 
     #[test]

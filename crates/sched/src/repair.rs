@@ -21,7 +21,7 @@
 //! propagation only ever increases stages, so it converges in one round,
 //! the result is dependency-valid by construction, and `repair` is
 //! **idempotent** — `repair(repair(raw)) == repair(raw)` for every input
-//! and every `max_rounds ≥ 1` (property-tested in `crates/sched/tests`).
+//! (property-tested in `crates/sched/tests`).
 
 use respect_graph::{topo, Dag};
 
@@ -33,27 +33,22 @@ pub struct RepairConfig {
     /// Enforce the Edge TPU rule that all children of a node share a
     /// stage (hoisted to the earliest predicted stage among them).
     pub sibling_stages: bool,
-    /// Upper bound on sibling-resolution rounds. The class-based
-    /// algorithm reaches its fixpoint in a single round, so every value
-    /// ≥ 1 behaves identically; `0` skips sibling resolution entirely
-    /// (dependency repair only), as it always has.
-    pub max_rounds: usize,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
             sibling_stages: true,
-            max_rounds: 8,
         }
     }
 }
 
 /// Legalizes a raw per-node stage prediction into a valid [`Schedule`].
 ///
-/// Stages are first clamped into `0..num_stages`; then dependency
-/// violations are fixed by pushing nodes forward in topological order,
-/// optionally alternating with the sibling co-location rule.
+/// Stages are first clamped into `0..num_stages`; then, under
+/// [`RepairConfig::sibling_stages`], sibling co-location classes are
+/// pushed forward together, and dependency violations are fixed by
+/// pushing nodes forward in topological order.
 ///
 /// # Errors
 ///
@@ -91,7 +86,7 @@ pub fn repair(
         }
     };
 
-    if config.sibling_stages && config.max_rounds > 0 {
+    if config.sibling_stages {
         // co-location classes: children of any node with several children
         // must share a stage, and overlapping sibling sets chain together
         let mut parent: Vec<usize> = (0..dag.len()).collect();
@@ -200,25 +195,10 @@ mod tests {
         let dag = diamond();
         let cfg = RepairConfig {
             sibling_stages: false,
-            ..RepairConfig::default()
         };
         let s = repair(&dag, &[0, 2, 1, 2], 3, cfg).unwrap();
         assert_eq!(s.stage(NodeId(1)), 2);
         assert_eq!(s.stage(NodeId(2)), 1);
-    }
-
-    #[test]
-    fn zero_rounds_skips_sibling_resolution() {
-        // max_rounds = 0 has always meant "dependency repair only"
-        let dag = diamond();
-        let cfg = RepairConfig {
-            sibling_stages: true,
-            max_rounds: 0,
-        };
-        let s = repair(&dag, &[0, 2, 1, 2], 3, cfg).unwrap();
-        assert_eq!(s.stage(NodeId(1)), 2);
-        assert_eq!(s.stage(NodeId(2)), 1);
-        assert!(s.is_valid(&dag));
     }
 
     #[test]

@@ -58,7 +58,7 @@ proptest! {
             &dag,
             &raw,
             stages,
-            RepairConfig { sibling_stages: false, ..RepairConfig::default() },
+            RepairConfig { sibling_stages: false },
         )
         .unwrap();
         prop_assert!(s2.is_valid(&dag));
@@ -90,14 +90,14 @@ proptest! {
     ) {
         // regression for the sibling/dependency alternation: hoisting a
         // child could undo dependency validity within a round, making the
-        // bounded fixpoint non-idempotent. Both guarantees must now hold
-        // even with a single round.
+        // bounded fixpoint non-idempotent. Both guarantees must now hold:
+        // the class propagation settles in a single round.
         let dag = sample(15, 4, seed);
-        let cfg = RepairConfig { sibling_stages: true, max_rounds: 1 };
+        let cfg = RepairConfig::default();
         let mut rng = StdRng::seed_from_u64(raw_seed);
         let raw: Vec<usize> = (0..dag.len()).map(|_| rng.gen_range(0usize..stages + 3)).collect();
         let once = repair(&dag, &raw, stages, cfg).unwrap();
-        prop_assert!(once.is_valid(&dag), "repair must be dependency-valid at max_rounds = 1");
+        prop_assert!(once.is_valid(&dag), "repair must be dependency-valid");
         let twice = repair(&dag, once.stage_of(), stages, cfg).unwrap();
         prop_assert_eq!(
             twice.stage_of(),
@@ -166,7 +166,7 @@ proptest! {
             &dag,
             valid.stage_of(),
             stages,
-            RepairConfig { sibling_stages: false, ..RepairConfig::default() },
+            RepairConfig { sibling_stages: false },
         )
         .unwrap();
         prop_assert_eq!(repaired.stage_of(), valid.stage_of());

@@ -13,6 +13,8 @@
 
 use std::fmt::Write as _;
 
+use respect_graph::{models, Dag};
+use respect_serve::{AdmissionPolicy, AutoscalePolicy, BatchPolicy, RouterPolicy};
 use respect_tpu::sim::Arrivals;
 
 /// A 1-based source position. Compares equal to every other position so
@@ -31,10 +33,32 @@ impl PartialEq for Pos {
     }
 }
 
+/// A model-zoo constructor of `respect_graph::models`.
+type Build = fn() -> Dag;
+
+/// The model-zoo graphs `model <name>` accepts (the twelve Fig. 5
+/// graphs of `respect_graph::models`) with their constructors, in the
+/// order diagnostics list them.
+pub(crate) const MODELS: [(&str, Build); 12] = [
+    ("xception", models::xception),
+    ("resnet50", models::resnet50),
+    ("resnet101", models::resnet101),
+    ("resnet152", models::resnet152),
+    ("densenet121", models::densenet121),
+    ("resnet101v2", models::resnet101v2),
+    ("resnet152v2", models::resnet152v2),
+    ("densenet169", models::densenet169),
+    ("densenet201", models::densenet201),
+    ("inception_resnet_v2", models::inception_resnet_v2),
+    ("resnet50v2", models::resnet50v2),
+    ("inception_v3", models::inception_v3),
+];
+
 /// Which model graph the scenario deploys.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSpec {
-    /// A model-zoo graph by its snake-case name (`densenet121`).
+    /// A model-zoo graph by its snake-case name (`densenet121`): one of
+    /// the twelve Fig. 5 graphs of `respect_graph::models`.
     Named(String),
     /// A synthetic DAG from the paper's generator class.
     Random {
@@ -74,23 +98,6 @@ impl Default for SchedulerSpec {
     }
 }
 
-/// Admission (load-shedding) policy of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionSpec {
-    /// Admit everything.
-    Open,
-    /// Shed past a waiting-request bound.
-    QueueBound {
-        /// The bound.
-        max_waiting: usize,
-    },
-    /// Shed past a backlog drain-time target.
-    SloDelay {
-        /// The target, seconds.
-        target_s: f64,
-    },
-}
-
 /// Live re-partitioning policy of one tenant (serve/fleet engines).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepartitionSpec {
@@ -117,10 +124,10 @@ pub struct TenantSpec {
     pub warmup: usize,
     /// Arrival process.
     pub arrivals: Arrivals,
-    /// Dynamic batcher `(max_batch, max_delay_s)` (serve/fleet only).
-    pub batcher: Option<(usize, f64)>,
+    /// Dynamic batcher (serve/fleet only).
+    pub batcher: Option<BatchPolicy>,
     /// Admission policy (serve/fleet only).
-    pub admission: Option<AdmissionSpec>,
+    pub admission: Option<AdmissionPolicy>,
     /// Live re-partitioning (serve/fleet only).
     pub repartition: Option<RepartitionSpec>,
     /// Position of the `tenant` keyword.
@@ -186,35 +193,6 @@ pub struct RunSpec {
     pub until_s: Option<f64>,
     /// Position of the `run` keyword.
     pub pos: Pos,
-}
-
-/// Fleet request-router selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RouterSpec {
-    /// Per-tenant round-robin.
-    RoundRobin,
-    /// Join-shortest-backlog.
-    Shortest,
-    /// Seeded power-of-two-choices.
-    P2c {
-        /// Router RNG seed.
-        seed: u64,
-    },
-    /// Tenant-to-chain affinity.
-    Affinity,
-}
-
-/// Fleet autoscale policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscaleSpec {
-    /// Active-chain floor.
-    pub min: usize,
-    /// Scale-up threshold, seconds.
-    pub up_s: f64,
-    /// Scale-down threshold, seconds.
-    pub down_s: f64,
-    /// Jobs between evaluations.
-    pub check: usize,
 }
 
 /// Comparison operator of an assertion.
@@ -376,9 +354,9 @@ pub struct Scenario {
     /// Fleet chain count (fleet engine; default 1).
     pub chains: usize,
     /// Fleet router (fleet engine).
-    pub router: Option<RouterSpec>,
+    pub router: Option<RouterPolicy>,
     /// Fleet autoscaling (fleet engine).
-    pub autoscale: Option<AutoscaleSpec>,
+    pub autoscale: Option<AutoscalePolicy>,
     /// Shared-bus contention (`bus contended`).
     pub contended_bus: bool,
     /// The run directive.
@@ -487,22 +465,23 @@ impl Scenario {
                     );
                 }
             }
-            if let Some((max_batch, max_delay_s)) = t.batcher {
+            if let Some(b) = t.batcher {
                 let _ = writeln!(
                     s,
-                    "batcher max_batch={max_batch} max_delay={}",
-                    num(max_delay_s)
+                    "batcher max_batch={} max_delay={}",
+                    b.max_batch,
+                    num(b.max_delay_s)
                 );
             }
             match t.admission {
                 None => {}
-                Some(AdmissionSpec::Open) => {
+                Some(AdmissionPolicy::Open) => {
                     let _ = writeln!(s, "admission open");
                 }
-                Some(AdmissionSpec::QueueBound { max_waiting }) => {
+                Some(AdmissionPolicy::QueueBound { max_waiting }) => {
                     let _ = writeln!(s, "admission queue max_waiting={max_waiting}");
                 }
-                Some(AdmissionSpec::SloDelay { target_s }) => {
+                Some(AdmissionPolicy::SloDelay { target_s }) => {
                     let _ = writeln!(s, "admission slo target={}", num(target_s));
                 }
             }
@@ -527,16 +506,16 @@ impl Scenario {
             let _ = writeln!(s, "chains {}", self.chains);
             match self.router {
                 None => {}
-                Some(RouterSpec::RoundRobin) => {
+                Some(RouterPolicy::RoundRobin) => {
                     let _ = writeln!(s, "router round-robin");
                 }
-                Some(RouterSpec::Shortest) => {
+                Some(RouterPolicy::JoinShortestBacklog) => {
                     let _ = writeln!(s, "router shortest");
                 }
-                Some(RouterSpec::P2c { seed }) => {
+                Some(RouterPolicy::PowerOfTwoChoices { seed }) => {
                     let _ = writeln!(s, "router p2c seed={seed}");
                 }
-                Some(RouterSpec::Affinity) => {
+                Some(RouterPolicy::Affinity) => {
                     let _ = writeln!(s, "router affinity");
                 }
             }
@@ -544,10 +523,10 @@ impl Scenario {
                 let _ = writeln!(
                     s,
                     "autoscale min={} up={} down={} check={}",
-                    a.min,
-                    num(a.up_s),
-                    num(a.down_s),
-                    a.check
+                    a.min_chains,
+                    num(a.scale_up_s),
+                    num(a.scale_down_s),
+                    a.check_jobs
                 );
             }
         }

@@ -12,17 +12,16 @@ use std::time::Duration;
 
 use respect::deploy::Deployment;
 use respect::serve::{
-    AdmissionPolicy, AutoscalePolicy, BatchPolicy, FleetReport, RouterPolicy, ServeConfig,
-    ServeReport, ServeTenant,
+    ChainReport, FleetReport, ServeConfig, ServeReport, ServeTenant, TenantServeReport,
 };
 use respect::tpu::probe::{NullProbe, Probe};
-use respect::tpu::sim::{Arrivals, SimConfig, SimReport, Workload};
+use respect::tpu::sim::{Arrivals, SimConfig, SimReport, TenantReport, Workload};
 use respect_graph::generate::{SyntheticConfig, SyntheticSampler};
-use respect_graph::{models, Dag};
+use respect_graph::Dag;
 
 use crate::ast::{
-    AdmissionSpec, Assertion, AssertionKind, Engine, Expr, MetricRef, ModelSpec, RouterSpec,
-    Scenario, Scope, TenantSpec,
+    Assertion, AssertionKind, Engine, Expr, MetricRef, ModelSpec, Scenario, Scope, TenantSpec,
+    MODELS,
 };
 use crate::ScnError;
 
@@ -120,24 +119,21 @@ pub(crate) fn effective_requests(s: &Scenario, t: &TenantSpec) -> Result<usize, 
 
 impl Scenario {
     /// Builds the scenario's model graph.
+    ///
+    /// # Panics
+    ///
+    /// When a hand-built [`ModelSpec::Named`] names a model the parser
+    /// would not admit.
     #[must_use]
     pub fn dag(&self) -> Dag {
         match &self.model {
-            ModelSpec::Named(name) => match name.as_str() {
-                "xception" => models::xception(),
-                "resnet50" => models::resnet50(),
-                "resnet101" => models::resnet101(),
-                "resnet152" => models::resnet152(),
-                "densenet121" => models::densenet121(),
-                "resnet101v2" => models::resnet101v2(),
-                "resnet152v2" => models::resnet152v2(),
-                "densenet169" => models::densenet169(),
-                "densenet201" => models::densenet201(),
-                "inception_resnet_v2" => models::inception_resnet_v2(),
-                "resnet50v2" => models::resnet50v2(),
-                "inception_v3" => models::inception_v3(),
-                other => unreachable!("parser admits only known models, got {other}"),
-            },
+            ModelSpec::Named(name) => {
+                let (_, build) = MODELS
+                    .iter()
+                    .find(|(known, _)| known == name)
+                    .unwrap_or_else(|| panic!("unknown model `{name}`"));
+                build()
+            }
             ModelSpec::Random { seed, nodes, deg } => {
                 let cfg = SyntheticConfig {
                     num_nodes: *nodes,
@@ -171,21 +167,10 @@ impl Scenario {
         if self.run.engine == Engine::Fleet {
             b = b.fleet(self.chains);
             if let Some(router) = self.router {
-                b = b.router(match router {
-                    RouterSpec::RoundRobin => RouterPolicy::RoundRobin,
-                    RouterSpec::Shortest => RouterPolicy::JoinShortestBacklog,
-                    RouterSpec::P2c { seed } => RouterPolicy::PowerOfTwoChoices { seed },
-                    RouterSpec::Affinity => RouterPolicy::Affinity,
-                });
+                b = b.router(router);
             }
-            if let Some(a) = self.autoscale {
-                b = b.autoscale(
-                    AutoscalePolicy::new()
-                        .with_min_chains(a.min)
-                        .with_scale_up_s(a.up_s)
-                        .with_scale_down_s(a.down_s)
-                        .with_check_jobs(a.check),
-                );
+            if let Some(autoscale) = self.autoscale {
+                b = b.autoscale(autoscale);
             }
             if self.contended_bus {
                 b = b.contended_bus();
@@ -216,17 +201,11 @@ impl Scenario {
             .with_arrivals(t.arrivals)
             .with_batch(t.batch)
             .with_warmup(t.warmup);
-        if let Some((max_batch, max_delay_s)) = t.batcher {
-            st = st.with_batcher(BatchPolicy::new(max_batch, max_delay_s));
+        if let Some(batcher) = t.batcher {
+            st = st.with_batcher(batcher);
         }
-        if let Some(adm) = t.admission {
-            st = st.with_admission(match adm {
-                AdmissionSpec::Open => AdmissionPolicy::Open,
-                AdmissionSpec::QueueBound { max_waiting } => {
-                    AdmissionPolicy::QueueBound { max_waiting }
-                }
-                AdmissionSpec::SloDelay { target_s } => AdmissionPolicy::SloDelay { target_s },
-            });
+        if let Some(admission) = t.admission {
+            st = st.with_admission(admission);
         }
         if let Some(rep) = t.repartition {
             let mut r = d.repartitioner();
@@ -375,132 +354,173 @@ fn eval_expr(e: &Expr, run: &ScenarioRun) -> f64 {
     }
 }
 
-/// Reads one report field. The parser guarantees scope/field validity
-/// for the engine that ran, so unknown combinations are unreachable.
-fn metric(m: &MetricRef, run: &ScenarioRun) -> f64 {
-    let f = m.field.as_str();
-    // deployment-level values are engine-independent
-    match f {
-        "obj" | "objective" if m.scope == Scope::Run => return run.objective,
-        "stages" if m.scope == Scope::Run => return run.stages as f64,
-        _ => {}
-    }
-    match (&run.output, m.scope) {
-        (RunOutput::Sim(r), Scope::Run) => match f {
-            "makespan" => r.makespan_s,
-            "events" => r.events as f64,
-            "bus_busy" => r.bus_busy_s,
-            _ => unreachable!("validated sim run metric {f}"),
-        },
-        (RunOutput::Sim(r), Scope::Tenant(i)) => {
-            let t = &r.tenants[i];
-            match f {
-                "requests" | "offered" => t.requests as f64,
-                "inferences" => t.inferences as f64,
-                "measured" => t.measured_inferences as f64,
-                "total" => t.total_s,
-                "first_latency" => t.first_latency_s,
-                "mean_latency" => t.mean_latency_s,
-                "max_latency" => t.max_latency_s,
-                "throughput" => t.throughput_ips,
-                _ => unreachable!("validated sim tenant metric {f}"),
-            }
-        }
-        (RunOutput::Serve(r), Scope::Run) => match f {
-            "makespan" => r.makespan_s,
-            "events" => r.events as f64,
-            "bus_busy" => r.bus_busy_s,
-            "offered" => r.offered() as f64,
-            "admitted" | "goodput" => r.admitted() as f64,
-            "shed" => r.shed() as f64,
-            "jobs" => r.tenants.iter().map(|t| t.jobs).sum::<usize>() as f64,
-            "swaps" => r.tenants.iter().map(|t| t.swaps.len()).sum::<usize>() as f64,
-            "energy" => r.tenants.iter().map(|t| t.active_energy_j).sum(),
-            "p50" => r.p50_s(),
-            "p95" => r.p95_s(),
-            "p99" => r.p99_s(),
-            "p999" => r.p999_s(),
-            "mean_latency" => mean_latency(
-                r.tenants
-                    .iter()
-                    .map(|t| (t.measured_requests, t.mean_latency_s)),
-            ),
-            _ => unreachable!("validated serve run metric {f}"),
-        },
-        (RunOutput::Serve(r), Scope::Tenant(i)) => serving_tenant_metric(&r.tenants[i], f),
-        (RunOutput::Fleet(r), Scope::Run) => match f {
-            "makespan" => r.makespan_s,
-            "events" => r.events as f64,
-            "bus_busy" => r.chains.iter().map(|c| c.bus_busy_s).sum(),
-            "offered" => r.offered() as f64,
-            "admitted" | "goodput" => r.admitted() as f64,
-            "shed" => r.shed() as f64,
-            "jobs" => r.chains.iter().map(|c| c.jobs).sum::<usize>() as f64,
-            "swaps" => r.chains.iter().map(|c| c.swaps).sum::<usize>() as f64,
-            "energy" => r.total_energy_j(),
-            "p50" => r.p50_s(),
-            "p95" => r.p95_s(),
-            "p99" => r.p99_s(),
-            "p999" => r.p999_s(),
-            "mean_latency" => mean_latency(
-                r.tenants
-                    .iter()
-                    .map(|t| (t.measured_requests, t.mean_latency_s)),
-            ),
-            "chains" => r.chains.len() as f64,
-            "chains_powered" => r.chains.iter().filter(|c| c.powered_s > 0.0).count() as f64,
-            "scale_events" => r.scale_events.len() as f64,
-            _ => unreachable!("validated fleet run metric {f}"),
-        },
-        (RunOutput::Fleet(r), Scope::Tenant(i)) => serving_tenant_metric(&r.tenants[i], f),
-        (RunOutput::Fleet(r), Scope::Chain(i)) => {
-            let c = &r.chains[i];
-            match f {
-                "admitted" => c.admitted as f64,
-                "shed" => c.shed as f64,
-                "jobs" => c.jobs as f64,
-                "swaps" => c.swaps as f64,
-                "busy" => c.busy_s,
-                "bus_busy" => c.bus_busy_s,
-                "powered" => c.powered_s,
-                "energy" => c.energy.total_j(),
-                _ => unreachable!("validated chain metric {f}"),
-            }
-        }
-        _ => unreachable!("parser rejects scope/engine mismatches"),
+/// One metric set, for one engine and scope: each name and how to
+/// read it off that scope's report.
+type Metrics<R> = &'static [(&'static str, fn(&R) -> f64)];
+
+/// Run-scope metrics of every engine: the deployment's own values.
+const DEPLOYMENT: Metrics<ScenarioRun> = &[
+    ("obj", |r| r.objective),
+    ("objective", |r| r.objective),
+    ("stages", |r| r.stages as f64),
+];
+
+const SIM_RUN: Metrics<SimReport> = &[
+    ("makespan", |r| r.makespan_s),
+    ("events", |r| r.events as f64),
+    ("bus_busy", |r| r.bus_busy_s),
+];
+
+const SIM_TENANT: Metrics<TenantReport> = &[
+    ("requests", |t| t.requests as f64),
+    ("offered", |t| t.requests as f64),
+    ("inferences", |t| t.inferences as f64),
+    ("measured", |t| t.measured_inferences as f64),
+    ("total", |t| t.total_s),
+    ("first_latency", |t| t.first_latency_s),
+    ("mean_latency", |t| t.mean_latency_s),
+    ("max_latency", |t| t.max_latency_s),
+    ("throughput", |t| t.throughput_ips),
+];
+
+const SERVE_RUN: Metrics<ServeReport> = &[
+    ("makespan", |r| r.makespan_s),
+    ("events", |r| r.events as f64),
+    ("bus_busy", |r| r.bus_busy_s),
+    ("offered", |r| r.offered() as f64),
+    ("admitted", |r| r.admitted() as f64),
+    ("goodput", |r| r.admitted() as f64),
+    ("shed", |r| r.shed() as f64),
+    ("jobs", |r| {
+        r.tenants.iter().map(|t| t.jobs).sum::<usize>() as f64
+    }),
+    ("swaps", |r| {
+        r.tenants.iter().map(|t| t.swaps.len()).sum::<usize>() as f64
+    }),
+    ("energy", |r| {
+        r.tenants.iter().map(|t| t.active_energy_j).sum()
+    }),
+    ("p50", ServeReport::p50_s),
+    ("p95", ServeReport::p95_s),
+    ("p99", ServeReport::p99_s),
+    ("p999", ServeReport::p999_s),
+    ("mean_latency", |r| mean_latency(&r.tenants)),
+];
+
+const FLEET_RUN: Metrics<FleetReport> = &[
+    ("makespan", |r| r.makespan_s),
+    ("events", |r| r.events as f64),
+    ("bus_busy", |r| r.chains.iter().map(|c| c.bus_busy_s).sum()),
+    ("offered", |r| r.offered() as f64),
+    ("admitted", |r| r.admitted() as f64),
+    ("goodput", |r| r.admitted() as f64),
+    ("shed", |r| r.shed() as f64),
+    ("jobs", |r| {
+        r.chains.iter().map(|c| c.jobs).sum::<usize>() as f64
+    }),
+    ("swaps", |r| {
+        r.chains.iter().map(|c| c.swaps).sum::<usize>() as f64
+    }),
+    ("energy", FleetReport::total_energy_j),
+    ("p50", FleetReport::p50_s),
+    ("p95", FleetReport::p95_s),
+    ("p99", FleetReport::p99_s),
+    ("p999", FleetReport::p999_s),
+    ("mean_latency", |r| mean_latency(&r.tenants)),
+    ("chains", |r| r.chains.len() as f64),
+    ("chains_powered", |r| {
+        r.chains.iter().filter(|c| c.powered_s > 0.0).count() as f64
+    }),
+    ("scale_events", |r| r.scale_events.len() as f64),
+];
+
+/// Tenant-scope metrics of the serve and fleet engines (`requests`
+/// aliases `offered`, mirroring the sim scope).
+const SERVING_TENANT: Metrics<TenantServeReport> = &[
+    ("requests", |t| t.offered as f64),
+    ("offered", |t| t.offered as f64),
+    ("admitted", |t| t.admitted as f64),
+    ("goodput", |t| t.admitted as f64),
+    ("shed", |t| t.shed as f64),
+    ("shed_fraction", TenantServeReport::shed_fraction),
+    ("jobs", |t| t.jobs as f64),
+    ("mean_job_requests", |t| t.mean_job_requests),
+    ("measured", |t| t.measured_requests as f64),
+    ("total", |t| t.total_s),
+    ("mean_latency", |t| t.mean_latency_s),
+    ("max_latency", |t| t.max_latency_s),
+    ("throughput", |t| t.throughput_ips),
+    ("energy", |t| t.active_energy_j),
+    ("swaps", |t| t.swaps.len() as f64),
+    ("p50", TenantServeReport::p50_s),
+    ("p95", TenantServeReport::p95_s),
+    ("p99", TenantServeReport::p99_s),
+    ("p999", TenantServeReport::p999_s),
+];
+
+/// Chain-scope metrics (fleet engine only).
+const CHAIN: Metrics<ChainReport> = &[
+    ("admitted", |c| c.admitted as f64),
+    ("shed", |c| c.shed as f64),
+    ("jobs", |c| c.jobs as f64),
+    ("swaps", |c| c.swaps as f64),
+    ("busy", |c| c.busy_s),
+    ("bus_busy", |c| c.bus_busy_s),
+    ("powered", |c| c.powered_s),
+    ("energy", |c| c.energy.total_j()),
+];
+
+/// The reader of `field` in `table`, if it has one.
+fn find<R>(table: Metrics<R>, field: &str) -> Option<fn(&R) -> f64> {
+    table
+        .iter()
+        .find(|(name, _)| *name == field)
+        .map(|&(_, read)| read)
+}
+
+/// Whether an `engine` run has the metric `field` at `scope`: the
+/// parser's check, over the tables [`metric`] reads.
+pub(crate) fn is_metric(engine: Engine, scope: Scope, field: &str) -> bool {
+    match (scope, engine) {
+        (Scope::Run, _) if find(DEPLOYMENT, field).is_some() => true,
+        (Scope::Run, Engine::Sim) => find(SIM_RUN, field).is_some(),
+        (Scope::Run, Engine::Serve) => find(SERVE_RUN, field).is_some(),
+        (Scope::Run, Engine::Fleet) => find(FLEET_RUN, field).is_some(),
+        (Scope::Tenant(_), Engine::Sim) => find(SIM_TENANT, field).is_some(),
+        (Scope::Tenant(_), _) => find(SERVING_TENANT, field).is_some(),
+        (Scope::Chain(_), _) => find(CHAIN, field).is_some(),
     }
 }
 
-fn serving_tenant_metric(t: &respect::serve::TenantServeReport, f: &str) -> f64 {
-    match f {
-        "requests" | "offered" => t.offered as f64,
-        "admitted" | "goodput" => t.admitted as f64,
-        "shed" => t.shed as f64,
-        "shed_fraction" => t.shed_fraction(),
-        "jobs" => t.jobs as f64,
-        "mean_job_requests" => t.mean_job_requests,
-        "measured" => t.measured_requests as f64,
-        "total" => t.total_s,
-        "mean_latency" => t.mean_latency_s,
-        "max_latency" => t.max_latency_s,
-        "throughput" => t.throughput_ips,
-        "energy" => t.active_energy_j,
-        "swaps" => t.swaps.len() as f64,
-        "p50" => t.p50_s(),
-        "p95" => t.p95_s(),
-        "p99" => t.p99_s(),
-        "p999" => t.p999_s(),
-        _ => unreachable!("validated serving tenant metric {f}"),
+/// Reads one report field. The parser admits only what [`is_metric`]
+/// finds for the engine that ran; anything else (a hand-built
+/// [`MetricRef`]) reads NaN.
+fn metric(m: &MetricRef, run: &ScenarioRun) -> f64 {
+    fn read<R>(table: Metrics<R>, field: &str, report: Option<&R>) -> Option<f64> {
+        Some(find(table, field)?(report?))
     }
+    let f = m.field.as_str();
+    let value = match (m.scope, &run.output) {
+        (Scope::Run, _) if find(DEPLOYMENT, f).is_some() => read(DEPLOYMENT, f, Some(run)),
+        (Scope::Run, RunOutput::Sim(r)) => read(SIM_RUN, f, Some(r)),
+        (Scope::Run, RunOutput::Serve(r)) => read(SERVE_RUN, f, Some(r)),
+        (Scope::Run, RunOutput::Fleet(r)) => read(FLEET_RUN, f, Some(r)),
+        (Scope::Tenant(i), RunOutput::Sim(r)) => read(SIM_TENANT, f, r.tenants.get(i)),
+        (Scope::Tenant(i), RunOutput::Serve(r)) => read(SERVING_TENANT, f, r.tenants.get(i)),
+        (Scope::Tenant(i), RunOutput::Fleet(r)) => read(SERVING_TENANT, f, r.tenants.get(i)),
+        (Scope::Chain(i), RunOutput::Fleet(r)) => read(CHAIN, f, r.chains.get(i)),
+        (Scope::Chain(_), _) => None,
+    };
+    value.unwrap_or(f64::NAN)
 }
 
 /// Measured-request-weighted mean latency across tenants.
-fn mean_latency(parts: impl Iterator<Item = (usize, f64)>) -> f64 {
+fn mean_latency(tenants: &[TenantServeReport]) -> f64 {
     let mut n = 0usize;
     let mut sum = 0.0;
-    for (m, mean) in parts {
-        n += m;
-        sum += m as f64 * mean;
+    for t in tenants {
+        n += t.measured_requests;
+        sum += t.measured_requests as f64 * t.mean_latency_s;
     }
     if n == 0 {
         0.0

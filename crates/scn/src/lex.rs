@@ -4,9 +4,14 @@
 //! starts a comment that runs to the end of the line, and blank lines
 //! separate nothing. Every token carries its 1-based line and column so
 //! the parser and the static validator can point at the exact offender.
+//!
+//! The trace debugger's breakpoint predicates (`respect_dbg::pred`) lex
+//! with [`lex`] too, so a token, unit or diagnostic changed here changes
+//! them as well.
 
 use std::fmt;
 
+use crate::ast::Cmp;
 use crate::ScnError;
 
 /// Payload of one token.
@@ -116,6 +121,20 @@ pub struct Token {
 }
 
 impl Tok {
+    /// The comparison operator this token spells, if any.
+    #[must_use]
+    pub fn comparison(&self) -> Option<Cmp> {
+        Some(match self {
+            Tok::Lt => Cmp::Lt,
+            Tok::Le => Cmp::Le,
+            Tok::Gt => Cmp::Gt,
+            Tok::Ge => Cmp::Ge,
+            Tok::EqEq => Cmp::Eq,
+            Tok::Ne => Cmp::Ne,
+            _ => return None,
+        })
+    }
+
     /// Short human name used in "expected X, found Y" diagnostics.
     #[must_use]
     pub fn describe(&self) -> String {

@@ -9,98 +9,16 @@
 //! offending directive, so a `.scn` author never sees a runtime panic
 //! for a spelling mistake.
 
+use respect_serve::{AdmissionPolicy, AutoscalePolicy, BatchPolicy, RouterPolicy};
 use respect_tpu::sim::Arrivals;
 
 use crate::ast::{
-    AdmissionSpec, Assertion, AssertionKind, AutoscaleSpec, Cmp, Engine, Expr, MetricRef,
-    ModelSpec, Op, Pos, RepartitionSpec, RouterSpec, RunSpec, Scenario, SchedulerSpec, Scope,
-    TenantSpec,
+    Assertion, AssertionKind, Cmp, Engine, Expr, MetricRef, ModelSpec, Op, Pos, RepartitionSpec,
+    RunSpec, Scenario, SchedulerSpec, Scope, TenantSpec, MODELS,
 };
+use crate::exec::is_metric;
 use crate::lex::{lex, Tok, Token, Unit};
 use crate::ScnError;
-
-/// The model-zoo names `model <name>` accepts (the twelve Fig. 5
-/// graphs of `respect_graph::models`).
-pub const MODEL_NAMES: [&str; 12] = [
-    "xception",
-    "resnet50",
-    "resnet101",
-    "resnet152",
-    "densenet121",
-    "resnet101v2",
-    "resnet152v2",
-    "densenet169",
-    "densenet201",
-    "inception_resnet_v2",
-    "resnet50v2",
-    "inception_v3",
-];
-
-/// Metrics readable at run scope for every engine.
-const RUN_COMMON: [&str; 6] = [
-    "makespan",
-    "events",
-    "bus_busy",
-    "obj",
-    "objective",
-    "stages",
-];
-/// Extra run-scope metrics of the serve and fleet engines.
-const RUN_SERVING: [&str; 12] = [
-    "offered",
-    "admitted",
-    "shed",
-    "goodput",
-    "jobs",
-    "swaps",
-    "energy",
-    "p50",
-    "p95",
-    "p99",
-    "p999",
-    "mean_latency",
-];
-/// Extra run-scope metrics of the fleet engine only.
-const RUN_FLEET: [&str; 3] = ["chains", "chains_powered", "scale_events"];
-/// Tenant-scope metrics under `run sim`.
-const TENANT_SIM: [&str; 9] = [
-    "requests",
-    "offered",
-    "inferences",
-    "measured",
-    "total",
-    "first_latency",
-    "mean_latency",
-    "max_latency",
-    "throughput",
-];
-/// Tenant-scope metrics under `run serve` / `run fleet`
-/// (`requests` aliases `offered`, mirroring the sim scope).
-const TENANT_SERVING: [&str; 19] = [
-    "requests",
-    "offered",
-    "admitted",
-    "shed",
-    "shed_fraction",
-    "goodput",
-    "jobs",
-    "mean_job_requests",
-    "measured",
-    "total",
-    "mean_latency",
-    "max_latency",
-    "throughput",
-    "energy",
-    "swaps",
-    "p50",
-    "p95",
-    "p99",
-    "p999",
-];
-/// Chain-scope metrics (fleet engine only).
-const CHAIN_FIELDS: [&str; 8] = [
-    "admitted", "shed", "jobs", "swaps", "busy", "bus_busy", "powered", "energy",
-];
 
 /// Parses one `.scn` source into a validated [`Scenario`].
 ///
@@ -310,8 +228,8 @@ impl Parser {
         let mut scheduler: Option<SchedulerSpec> = None;
         let mut tenants: Vec<TenantSpec> = Vec::new();
         let mut chains: Option<(usize, Pos)> = None;
-        let mut router: Option<(RouterSpec, Pos)> = None;
-        let mut autoscale: Option<(AutoscaleSpec, Pos)> = None;
+        let mut router: Option<(RouterPolicy, Pos)> = None;
+        let mut autoscale: Option<(AutoscalePolicy, Pos)> = None;
         let mut bus: Option<bool> = None;
         let mut run: Option<RunSpec> = None;
         let mut assertions: Vec<Assertion> = Vec::new();
@@ -362,12 +280,12 @@ impl Parser {
                         }
                         ModelSpec::Random { seed, nodes, deg }
                     } else {
-                        if !MODEL_NAMES.contains(&which.as_str()) {
+                        if !MODELS.iter().any(|(name, _)| *name == which) {
                             return Err(err(
                                 wpos,
                                 format!(
                                     "unknown model `{which}` (known: random, {})",
-                                    MODEL_NAMES.join(", ")
+                                    MODELS.map(|(name, _)| name).join(", ")
                                 ),
                             ));
                         }
@@ -493,7 +411,7 @@ impl Parser {
                                     "batcher max_delay must be finite and nonnegative",
                                 ));
                             }
-                            t.batcher = Some((max_batch, max_delay));
+                            t.batcher = Some(BatchPolicy::new(max_batch, max_delay));
                         }
                         "admission" => {
                             gates.push((Gate::ServingOnly("admission"), pos));
@@ -536,12 +454,12 @@ impl Parser {
                     gates.push((Gate::FleetOnly("router"), pos));
                     let (which, wpos) = self.take_ident("a router policy")?;
                     let r = match which.as_str() {
-                        "round-robin" => RouterSpec::RoundRobin,
-                        "shortest" => RouterSpec::Shortest,
-                        "affinity" => RouterSpec::Affinity,
+                        "round-robin" => RouterPolicy::RoundRobin,
+                        "shortest" => RouterPolicy::JoinShortestBacklog,
+                        "affinity" => RouterPolicy::Affinity,
                         "p2c" => {
                             let kv = self.kv_list("router p2c", &["seed"])?;
-                            RouterSpec::P2c {
+                            RouterPolicy::PowerOfTwoChoices {
                                 seed: req(&kv, "seed", "router p2c", pos)?.seed("seed")?,
                             }
                         }
@@ -561,19 +479,21 @@ impl Parser {
                     dup(autoscale.is_some(), "autoscale", pos)?;
                     gates.push((Gate::FleetOnly("autoscale"), pos));
                     let kv = self.kv_list("autoscale", &["min", "up", "down", "check"])?;
-                    let a = AutoscaleSpec {
-                        min: opt(&kv, "min").map_or(Ok(1), |v| v.int("min"))?,
-                        up_s: opt(&kv, "up").map_or(0.100, NumVal::duration),
-                        down_s: opt(&kv, "down").map_or(0.010, NumVal::duration),
-                        check: opt(&kv, "check").map_or(Ok(16), |v| v.int("check"))?,
+                    let d = AutoscalePolicy::new();
+                    let a = AutoscalePolicy {
+                        min_chains: opt(&kv, "min").map_or(Ok(d.min_chains), |v| v.int("min"))?,
+                        scale_up_s: opt(&kv, "up").map_or(d.scale_up_s, NumVal::duration),
+                        scale_down_s: opt(&kv, "down").map_or(d.scale_down_s, NumVal::duration),
+                        check_jobs: opt(&kv, "check")
+                            .map_or(Ok(d.check_jobs), |v| v.int("check"))?,
                     };
-                    if a.min == 0 {
+                    if a.min_chains == 0 {
                         return Err(err(pos, "autoscale min must be at least 1"));
                     }
-                    if a.check == 0 {
+                    if a.check_jobs == 0 {
                         return Err(err(pos, "autoscale check must be at least 1"));
                     }
-                    if a.down_s > a.up_s {
+                    if a.scale_down_s > a.scale_up_s {
                         return Err(err(pos, "autoscale down must not exceed up (hysteresis)"));
                     }
                     autoscale = Some((a, pos));
@@ -749,7 +669,7 @@ impl Parser {
             }
         }
         if let Some((a, apos)) = autoscale {
-            if a.min > chains.map_or(1, |(n, _)| n) {
+            if a.min_chains > chains.map_or(1, |(n, _)| n) {
                 return Err(err(apos, "autoscale min exceeds the chain count"));
             }
         }
@@ -839,10 +759,10 @@ impl Parser {
         Ok(arrivals)
     }
 
-    fn parse_admission(&mut self, pos: Pos) -> Result<AdmissionSpec, ScnError> {
+    fn parse_admission(&mut self, pos: Pos) -> Result<AdmissionPolicy, ScnError> {
         let (which, wpos) = self.take_ident("an admission policy")?;
         match which.as_str() {
-            "open" => Ok(AdmissionSpec::Open),
+            "open" => Ok(AdmissionPolicy::Open),
             "queue" => {
                 let kv = self.kv_list("admission queue", &["max_waiting"])?;
                 let max_waiting =
@@ -850,7 +770,7 @@ impl Parser {
                 if max_waiting == 0 {
                     return Err(err(pos, "admission queue max_waiting must be at least 1"));
                 }
-                Ok(AdmissionSpec::QueueBound { max_waiting })
+                Ok(AdmissionPolicy::QueueBound { max_waiting })
             }
             "slo" => {
                 let kv = self.kv_list("admission slo", &["target"])?;
@@ -861,7 +781,7 @@ impl Parser {
                         "admission slo target must be finite and nonnegative",
                     ));
                 }
-                Ok(AdmissionSpec::SloDelay { target_s })
+                Ok(AdmissionPolicy::SloDelay { target_s })
             }
             _ => Err(err(
                 wpos,
@@ -909,19 +829,13 @@ impl Parser {
 
     fn take_cmp(&mut self) -> Result<Cmp, ScnError> {
         match self.bump() {
-            Some(Token { tok, line, col }) => match tok {
-                Tok::Lt => Ok(Cmp::Lt),
-                Tok::Le => Ok(Cmp::Le),
-                Tok::Gt => Ok(Cmp::Gt),
-                Tok::Ge => Ok(Cmp::Ge),
-                Tok::EqEq => Ok(Cmp::Eq),
-                Tok::Ne => Ok(Cmp::Ne),
-                other => Err(ScnError::at(
+            Some(Token { tok, line, col }) => tok.comparison().ok_or_else(|| {
+                ScnError::at(
                     line,
                     col,
-                    format!("expected a comparison operator, found {}", other.describe()),
-                )),
-            },
+                    format!("expected a comparison operator, found {}", tok.describe()),
+                )
+            }),
             None => Err(err(
                 self.pos_here(),
                 "expected a comparison operator, found end of file",
@@ -1077,19 +991,7 @@ fn resolve_scope(name: &str, ctx: &Ctx<'_>, pos: Pos) -> Result<Scope, ScnError>
 }
 
 fn validate_field(scope: Scope, field: &str, ctx: &Ctx<'_>, pos: Pos) -> Result<(), ScnError> {
-    let ok = match scope {
-        Scope::Run => {
-            RUN_COMMON.contains(&field)
-                || (ctx.engine != Engine::Sim && RUN_SERVING.contains(&field))
-                || (ctx.engine == Engine::Fleet && RUN_FLEET.contains(&field))
-        }
-        Scope::Tenant(_) => match ctx.engine {
-            Engine::Sim => TENANT_SIM.contains(&field),
-            Engine::Serve | Engine::Fleet => TENANT_SERVING.contains(&field),
-        },
-        Scope::Chain(_) => CHAIN_FIELDS.contains(&field),
-    };
-    if ok {
+    if is_metric(ctx.engine, scope, field) {
         return Ok(());
     }
     let what = match scope {

@@ -354,6 +354,27 @@ pin!(
 const MODELS: [&str; 4] = ["resnet50", "xception", "densenet121", "inception_v3"];
 const SCHEDULERS: [&str; 4] = ["param-balanced", "op-balanced", "greedy", "exact"];
 
+/// Serving-policy draws of one generated scenario: the batcher,
+/// admission, router and autoscale values the canonical form prints
+/// from the engines' own policy types.
+struct Policies {
+    max_batch: usize,
+    max_delay: f64,
+    /// 0 open, 1 queue, 2 slo (admission is present when `extras & 32`).
+    admission_i: usize,
+    max_waiting: usize,
+    slo_target: f64,
+    /// 0 round-robin, 1 shortest, 2 p2c, 3 affinity.
+    router_i: usize,
+    p2c_seed: u64,
+    /// Clamped to the chain count.
+    autoscale_min: usize,
+    up: f64,
+    /// `down = up × down_frac`, so the hysteresis check holds.
+    down_frac: f64,
+    check: usize,
+}
+
 /// Builds a syntactically valid scenario source from draw parameters.
 #[allow(clippy::too_many_arguments)]
 fn build_source(
@@ -366,6 +387,7 @@ fn build_source(
     rate: f64,
     chains: usize,
     extras: u64,
+    p: &Policies,
 ) -> String {
     let mut s = String::new();
     s.push_str("scenario generated\n");
@@ -410,10 +432,17 @@ fn build_source(
         }
         if engine_i > 0 {
             if extras & 16 != 0 {
-                s.push_str("batcher max_batch=4 max_delay=0.002\n");
+                s.push_str(&format!(
+                    "batcher max_batch={} max_delay={}\n",
+                    p.max_batch, p.max_delay
+                ));
             }
             if extras & 32 != 0 {
-                s.push_str("admission queue max_waiting=16\n");
+                s.push_str(&match p.admission_i {
+                    0 => "admission open\n".to_string(),
+                    1 => format!("admission queue max_waiting={}\n", p.max_waiting),
+                    _ => format!("admission slo target={}\n", p.slo_target),
+                });
             }
             if extras & 64 != 0 {
                 s.push_str("repartition window=32 threshold=0.07\n");
@@ -422,14 +451,20 @@ fn build_source(
     }
     if engine_i == 2 {
         s.push_str(&format!("chains {chains}\n"));
-        match extras % 4 {
-            0 => s.push_str("router round-robin\n"),
-            1 => s.push_str("router shortest\n"),
-            2 => s.push_str("router p2c seed=11\n"),
-            _ => s.push_str("router affinity\n"),
-        }
+        s.push_str(&match p.router_i {
+            0 => "router round-robin\n".to_string(),
+            1 => "router shortest\n".to_string(),
+            2 => format!("router p2c seed={}\n", p.p2c_seed),
+            _ => "router affinity\n".to_string(),
+        });
         if extras & 128 != 0 {
-            s.push_str("autoscale min=1 up=0.05 down=0.005 check=8\n");
+            s.push_str(&format!(
+                "autoscale min={} up={} down={} check={}\n",
+                p.autoscale_min.min(chains),
+                p.up,
+                p.up * p.down_frac,
+                p.check
+            ));
         }
     }
     s.push_str(&format!("run {engine}\n"));
@@ -440,7 +475,7 @@ fn build_source(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn canonical_is_a_fixed_point_of_format_parse_format(
@@ -453,9 +488,33 @@ proptest! {
         rate in 5.0f64..400.0,
         chains in 1usize..5,
         extras in 0u64..256,
+        max_batch in 1usize..33,
+        max_delay in 0.0f64..0.01,
+        admission_i in 0usize..3,
+        max_waiting in 1usize..10_000,
+        slo_target in 0.0f64..0.5,
+        router_i in 0usize..4,
+        p2c_seed in 0u64..1 << 53,
+        autoscale_min in 1usize..5,
+        up in 1e-4f64..1.0,
+        down_frac in 0.0f64..=1.0,
+        check in 1usize..64,
     ) {
+        let policies = Policies {
+            max_batch,
+            max_delay,
+            admission_i,
+            max_waiting,
+            slo_target,
+            router_i,
+            p2c_seed,
+            autoscale_min,
+            up,
+            down_frac,
+            check,
+        };
         let src = build_source(
-            model_i, sched_i, stages, tenants, engine_i, arr_i, rate, chains, extras,
+            model_i, sched_i, stages, tenants, engine_i, arr_i, rate, chains, extras, &policies,
         );
         let s1 = parse(&src).expect("generated source must parse");
         let c1 = s1.canonical();

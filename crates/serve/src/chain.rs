@@ -495,34 +495,26 @@ impl<'a> ChainEngine<'a> {
         }
         st.repartition_attempts += 1;
         let from_obj = rep.model.objective(&rep.dag, &st.pipeline.schedule);
-        let out = if P::ENABLED {
-            let mut on_pass = |pass: usize, moves_in_pass: usize, objective: f64| {
-                p.record(
-                    t,
-                    &ProbeEvent::RepartitionPass {
-                        chain: c,
-                        tenant: w as u32,
-                        pass: pass as u32,
-                        moves: moves_in_pass as u32,
-                        objective_s: objective,
-                    },
-                );
-            };
-            repartition::refine_with(
-                &rep.dag,
-                rep.model,
-                &st.pipeline.schedule,
-                rep.policy.passes,
-                &mut on_pass,
-            )
-        } else {
-            repartition::refine(
-                &rep.dag,
-                rep.model,
-                &st.pipeline.schedule,
-                rep.policy.passes,
-            )
-        };
+        let out = repartition::refine_with(
+            &rep.dag,
+            rep.model,
+            &st.pipeline.schedule,
+            rep.policy.passes,
+            &mut |pass: usize, moves_in_pass: usize, objective: f64| {
+                if P::ENABLED {
+                    p.record(
+                        t,
+                        &ProbeEvent::RepartitionPass {
+                            chain: c,
+                            tenant: w as u32,
+                            pass: pass as u32,
+                            moves: moves_in_pass as u32,
+                            objective_s: objective,
+                        },
+                    );
+                }
+            },
+        );
         if P::ENABLED {
             p.record(
                 t,

@@ -44,9 +44,9 @@
 //! ([`Deployment::simulate_workloads_probed`], [`Deployment::serve_probed`],
 //! [`Deployment::serve_fleet_probed`]) threading a
 //! [`respect_tpu::probe::Probe`] through the engine, and
-//! [`Deployment::serve_with_metrics`] / [`Deployment::serve_fleet_with_metrics`]
-//! bundle a [`respect_obs::MetricsRecorder`] for the common
-//! "run it and give me the numbers" case.
+//! [`Deployment::serve_fleet_with_metrics`] bundles a
+//! [`respect_obs::MetricsRecorder`] for the common "run it and give me
+//! the numbers" case.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -260,7 +260,6 @@ impl<'a> DeploymentBuilder<'a> {
         if let Some(budget) = self.time_budget {
             options = options.with_time_budget(budget);
         }
-        let partitioner_key = self.scheduler.is_none().then(|| self.partitioner.clone());
         let scheduler = match self.scheduler {
             Some(s) => s,
             None => registry(&self.spec).build(&self.partitioner, &options)?,
@@ -284,7 +283,6 @@ impl<'a> DeploymentBuilder<'a> {
             spec: self.spec,
             pipeline,
             scheduler_name: scheduler.name().to_string(),
-            partitioner_key,
             fleet,
         })
     }
@@ -298,7 +296,6 @@ pub struct Deployment {
     spec: DeviceSpec,
     pipeline: CompiledPipeline,
     scheduler_name: String,
-    partitioner_key: Option<String>,
     fleet: FleetConfig,
 }
 
@@ -342,13 +339,6 @@ impl Deployment {
     /// [`Scheduler::name`], e.g. `"RESPECT"` — not the registry key).
     pub fn scheduler_name(&self) -> &str {
         &self.scheduler_name
-    }
-
-    /// The [`registry`] key the deployment was built from
-    /// ([`DeploymentBuilder::partitioner`]), or `None` when a pre-built
-    /// scheduler was injected via [`DeploymentBuilder::scheduler`].
-    pub fn partitioner_key(&self) -> Option<&str> {
-        self.partitioner_key.as_deref()
     }
 
     /// The abstract bottleneck objective of the deployed schedule under
@@ -444,28 +434,12 @@ impl Deployment {
         Ok(serve_rt::serve_probed(tenants, &self.spec, cfg, probe)?)
     }
 
-    /// [`Deployment::serve`] with a [`MetricsRecorder`] attached,
-    /// returning the report together with the frozen metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve`].
-    pub fn serve_with_metrics(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &ServeConfig,
-    ) -> Result<(ServeReport, MetricsSnapshot), Error> {
-        let mut metrics = MetricsRecorder::new();
-        let report = serve_rt::serve_probed(tenants, &self.spec, cfg, &mut metrics)?;
-        Ok((report, metrics.snapshot()))
-    }
-
     /// The fleet configuration assembled from the builder's
     /// [`DeploymentBuilder::fleet`] / [`DeploymentBuilder::chains`] /
     /// [`DeploymentBuilder::router`] / [`DeploymentBuilder::autoscale`]
     /// hooks. Clone and extend it (e.g.
     /// `FleetConfig::with_contended_bus`) for switches the builder does
-    /// not expose, then call [`Deployment::serve_fleet_with`].
+    /// not expose, then call [`serve_rt::serve_fleet`].
     pub fn fleet_config(&self) -> &FleetConfig {
         &self.fleet
     }
@@ -510,36 +484,5 @@ impl Deployment {
         let mut metrics = MetricsRecorder::new();
         let report = serve_rt::serve_fleet_probed(tenants, &self.fleet, &mut metrics)?;
         Ok((report, metrics.snapshot()))
-    }
-
-    /// Runs the fleet serving runtime for `tenants` under an explicit
-    /// `cfg`, bypassing the builder hooks. Identical to
-    /// [`serve_rt::serve_fleet`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Serve`] for degenerate tenants or fleet configs; see
-    /// [`serve_rt::serve_fleet`].
-    pub fn serve_fleet_with(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &FleetConfig,
-    ) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet(tenants, cfg)?)
-    }
-
-    /// [`Deployment::serve_fleet_with`] with a [`Probe`] observing the
-    /// event stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve_fleet_with`].
-    pub fn serve_fleet_with_probed<P: Probe>(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &FleetConfig,
-        probe: &mut P,
-    ) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet_probed(tenants, cfg, probe)?)
     }
 }

@@ -119,7 +119,6 @@ fn packing_any_topological_order_is_feasible_and_repair_is_noop() {
     // sibling rule) must change nothing
     let cfg = repair::RepairConfig {
         sibling_stages: false,
-        ..repair::RepairConfig::default()
     };
     let repaired = repair::repair(&dag, schedule.stage_of(), 4, cfg).unwrap();
     assert_eq!(repaired.stage_of(), schedule.stage_of());
