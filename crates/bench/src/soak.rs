@@ -339,8 +339,8 @@ pub fn soak(cfg: &SoakConfig) -> SoakReport {
     }
 }
 
-/// Serializes a [`SoakReport`] as pretty-printed JSON (hand-written:
-/// the workspace serde shim provides derive markers, not serialization).
+/// Serializes a [`SoakReport`] as pretty-printed JSON (hand-written: the
+/// workspace has no serialization dependency).
 #[must_use]
 pub fn to_json(r: &SoakReport) -> String {
     let mut out = String::with_capacity(2048);

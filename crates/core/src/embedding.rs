@@ -15,13 +15,11 @@
 //! training graphs and 800-node real models — this is what lets the
 //! policy generalize across sizes without retraining.
 
-use serde::{Deserialize, Serialize};
-
 use respect_graph::{topo, Dag, NodeId};
 use respect_nn::Matrix;
 
 /// Configuration of the node embedding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmbeddingConfig {
     /// Number of parent slots in the relative-coordinate block. Parents
     /// beyond this (sorted by descending level) are dropped; missing

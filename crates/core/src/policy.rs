@@ -36,7 +36,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use respect_graph::{Dag, NodeId};
 use respect_nn::attention::AttentionSpec;
@@ -48,7 +47,7 @@ use respect_nn::{init, Bindings, Matrix, Params};
 use crate::embedding::EmbeddingConfig;
 
 /// Hyperparameters of the pointer-network policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// LSTM hidden size (the paper uses 256 cells).
     pub hidden: usize,

@@ -189,3 +189,34 @@ pub fn parse_command(line_no: usize, line: &str) -> Result<Option<Command>, ScnE
         )),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pred::FIELDS;
+    use respect_obs::render::KINDS;
+
+    /// The `help` text is hand-written; it must name every predicate
+    /// field (by its canonical spelling) and every event kind, directly
+    /// or through its `g_*` group.
+    #[test]
+    fn help_names_every_field_and_kind() {
+        let words: Vec<&str> = HELP
+            .split(|c: char| c.is_whitespace() || c == ',' || c == '`')
+            .collect();
+        for (_, field) in FIELDS {
+            assert!(
+                words.contains(&field.name()),
+                "HELP omits field `{}`",
+                field.name()
+            );
+        }
+        for kind in KINDS {
+            let group = kind
+                .char_indices()
+                .filter(|&(_, c)| c == '_')
+                .any(|(i, _)| words.contains(&format!("{}_*", &kind[..i]).as_str()));
+            assert!(words.contains(&kind) || group, "HELP omits kind `{kind}`");
+        }
+    }
+}

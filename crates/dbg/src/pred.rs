@@ -113,40 +113,39 @@ pub enum Field {
     Divergence,
 }
 
+/// Every field spelling a predicate accepts. A field's first spelling
+/// is its canonical one; `time` is an alias of `t`.
+pub(crate) const FIELDS: [(&str, Field); 12] = [
+    ("t", Field::Time),
+    ("time", Field::Time),
+    ("tenant", Field::Tenant),
+    ("chain", Field::Chain),
+    ("request", Field::Request),
+    ("stage", Field::Stage),
+    ("device", Field::Device),
+    ("queue", Field::Queue),
+    ("backlog", Field::Backlog),
+    ("size", Field::Size),
+    ("latency", Field::Latency),
+    ("divergence", Field::Divergence),
+];
+
 impl Field {
     fn from_name(name: &str) -> Option<Field> {
-        Some(match name {
-            "t" | "time" => Field::Time,
-            "tenant" => Field::Tenant,
-            "chain" => Field::Chain,
-            "request" => Field::Request,
-            "stage" => Field::Stage,
-            "device" => Field::Device,
-            "queue" => Field::Queue,
-            "backlog" => Field::Backlog,
-            "size" => Field::Size,
-            "latency" => Field::Latency,
-            "divergence" => Field::Divergence,
-            _ => return None,
-        })
+        FIELDS
+            .iter()
+            .find(|&&(spelling, _)| spelling == name)
+            .map(|&(_, field)| field)
     }
 
     /// The field's canonical spelling.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Field::Time => "t",
-            Field::Tenant => "tenant",
-            Field::Chain => "chain",
-            Field::Request => "request",
-            Field::Stage => "stage",
-            Field::Device => "device",
-            Field::Queue => "queue",
-            Field::Backlog => "backlog",
-            Field::Size => "size",
-            Field::Latency => "latency",
-            Field::Divergence => "divergence",
-        }
+        FIELDS
+            .iter()
+            .find(|&&(_, field)| field == self)
+            .map(|&(spelling, _)| spelling)
+            .expect("FIELDS spells every field")
     }
 }
 

@@ -223,6 +223,12 @@ fn parse_errors_are_pinned_at_line_col() {
     assert_eq!((e.line, e.col), (1, 8));
     assert_eq!(e.msg, "unknown time unit `min` (expected s, ms, us, or ns)");
 
+    // a literal that overflows f64, at the literal (it would render as
+    // `inf`, which does not parse back)
+    let e = parse_err("t >= 1e400");
+    assert_eq!((e.line, e.col), (1, 6));
+    assert_eq!(e.msg, "number `1e400` is out of range");
+
     // nth needs a positive integer
     let e = parse_err("nth 0 shed");
     assert_eq!((e.line, e.col), (1, 5));

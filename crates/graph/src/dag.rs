@@ -6,7 +6,6 @@
 //! [`DagBuilder::build`] and then holds for the lifetime of the value, so
 //! every scheduler in the workspace can rely on it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::GraphError;
@@ -16,9 +15,7 @@ use crate::error::GraphError;
 /// Ids are dense indices `0..dag.len()`, assigned in insertion order by
 /// [`DagBuilder::add_node`]. They are only meaningful relative to the graph
 /// that produced them.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -41,8 +38,8 @@ impl From<u32> for NodeId {
     }
 }
 
-/// Kind of a DNN operator, used for cost modelling and DOT rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Kind of a DNN operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum OpKind {
     /// Standard 2-D convolution.
@@ -94,7 +91,7 @@ impl fmt::Display for OpKind {
 /// TFLite model: an operator name (hashed into the node-id embedding
 /// column), parameter memory, output-tensor size (the communication cost of
 /// an edge leaving this node), and MAC count (compute cost).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpNode {
     /// Operator name, e.g. `"conv2_block1_1_conv"`. Hashed for embedding.
     pub name: String,
@@ -259,7 +256,7 @@ impl DagBuilder {
 /// A validated, immutable computational graph.
 ///
 /// See the [crate-level docs](crate) for context and an example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dag {
     nodes: Vec<OpNode>,
     succs: Vec<Vec<NodeId>>,

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dag::{Dag, DagBuilder, OpKind, OpNode};
 
@@ -20,7 +19,7 @@ use crate::dag::{Dag, DagBuilder, OpKind, OpNode};
 /// The defaults reproduce the paper's training distribution for one degree
 /// class; sweep [`max_in_degree`](SyntheticConfig::max_in_degree) over
 /// `2..=6` to reproduce the full mixture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of operators per graph; the paper uses 30.
     pub num_nodes: usize,
@@ -160,11 +159,6 @@ impl SyntheticSampler {
             .build()
             .expect("edges only go forward, so the graph is acyclic")
     }
-
-    /// Draws `count` DAGs.
-    pub fn sample_many(&mut self, count: usize) -> Vec<Dag> {
-        (0..count).map(|_| self.sample()).collect()
-    }
 }
 
 fn log_uniform(rng: &mut StdRng, (lo, hi): (u64, u64)) -> u64 {
@@ -236,11 +230,5 @@ mod tests {
     #[should_panic(expected = "2..=6")]
     fn paper_preset_rejects_degree_out_of_range() {
         let _ = SyntheticConfig::paper(1);
-    }
-
-    #[test]
-    fn sample_many_counts() {
-        let mut s = SyntheticSampler::new(SyntheticConfig::default(), 1);
-        assert_eq!(s.sample_many(5).len(), 5);
     }
 }

@@ -11,8 +11,7 @@
 //!   (|V| = 30, max in-degree ∈ {2..6});
 //! * [`models`] — structural generators for the ImageNet models of Table I
 //!   (plus the two extra models of Fig. 5), matching the published node
-//!   counts, maximum in-degree, and depth;
-//! * [`dot`] — Graphviz export for debugging and papers.
+//!   counts, maximum in-degree, and depth.
 //!
 //! # Example
 //!
@@ -28,7 +27,6 @@
 //! ```
 
 pub mod dag;
-pub mod dot;
 pub mod error;
 pub mod generate;
 pub mod models;

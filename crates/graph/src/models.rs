@@ -23,15 +23,13 @@
 //! }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::dag::{Dag, DagBuilder, NodeId, OpKind, OpNode};
 
 /// Structural blueprint of one model family member.
 ///
 /// [`ModelSpec::build`] turns a spec into a [`Dag`] whose statistics match
 /// the spec exactly; the named constructors below carry the Table I values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name as printed in the paper's tables.
     pub name: &'static str,

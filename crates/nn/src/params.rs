@@ -86,19 +86,9 @@ impl Params {
         self.names.iter().map(String::as_str).zip(&self.values)
     }
 
-    /// Parameter value by dense index (registration order).
-    pub fn value_at(&self, i: usize) -> &Matrix {
-        &self.values[i]
-    }
-
     /// Mutable parameter value by dense index.
     pub fn value_at_mut(&mut self, i: usize) -> &mut Matrix {
         &mut self.values[i]
-    }
-
-    /// Total number of scalar weights.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
     }
 
     /// Injects every parameter as a leaf on `tape`.
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.get("w").unwrap().shape(), (2, 3));
         assert!(p.get("nope").is_none());
-        assert_eq!(p.num_scalars(), 6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Binary persistence for [`Params`]: a small self-describing format so
-//! trained policies survive process restarts without pulling in a serde
-//! backend crate.
+//! trained policies survive process restarts with no serialization
+//! dependency.
 //!
 //! Layout (little-endian):
 //!
@@ -12,7 +12,6 @@
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::path::Path;
 
 use crate::params::Params;
 use crate::tensor::Matrix;
@@ -124,26 +123,6 @@ pub fn read_params<R: Read>(mut r: R) -> Result<Params, WeightIoError> {
     Ok(params)
 }
 
-/// Saves `params` to a file path.
-///
-/// # Errors
-///
-/// Propagates file-creation and write errors.
-pub fn save_params(path: impl AsRef<Path>, params: &Params) -> Result<(), WeightIoError> {
-    let file = std::fs::File::create(path)?;
-    write_params(io::BufWriter::new(file), params)
-}
-
-/// Loads a [`Params`] from a file path.
-///
-/// # Errors
-///
-/// Propagates file-open/read errors and format violations.
-pub fn load_params(path: impl AsRef<Path>) -> Result<Params, WeightIoError> {
-    let file = std::fs::File::open(path)?;
-    read_params(io::BufReader::new(file))
-}
-
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, WeightIoError> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
@@ -179,8 +158,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("weights.rspw");
         let p = sample();
-        save_params(&path, &p).unwrap();
-        let q = load_params(&path).unwrap();
+        write_params(std::fs::File::create(&path).unwrap(), &p).unwrap();
+        let q = read_params(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(p, q);
         std::fs::remove_file(path).ok();
     }

@@ -4,10 +4,8 @@
 //! operations here are the *non*-differentiable building blocks; the
 //! differentiable graph lives in [`crate::tape`].
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -110,11 +108,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning its backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Row `r` as a contiguous slice.

@@ -16,30 +16,21 @@ use crate::Scheduler;
 /// any other `dyn Scheduler` context.
 ///
 /// Exhaustive search is exponential in the node count, so the adapter
-/// refuses graphs larger than [`BruteForce::max_nodes`] with a
-/// structured [`ScheduleError::SolverFailed`] instead of hanging.
+/// refuses graphs of more than 12 nodes with a structured
+/// [`ScheduleError::SolverFailed`] instead of hanging.
 #[derive(Debug, Clone, Copy)]
 #[must_use]
 pub struct BruteForce {
     model: CostModel,
-    /// Largest graph the adapter will enumerate (default 12 nodes).
-    pub max_nodes: usize,
 }
 
-impl BruteForce {
-    /// Creates the adapter with the default 12-node cap.
-    pub fn new(model: CostModel) -> Self {
-        BruteForce {
-            model,
-            max_nodes: 12,
-        }
-    }
+/// Largest graph the [`BruteForce`] adapter will enumerate.
+const MAX_NODES: usize = 12;
 
-    /// Overrides the node-count cap. Every extra node multiplies the
-    /// search by the stage count; raise with care.
-    pub fn with_max_nodes(mut self, max_nodes: usize) -> Self {
-        self.max_nodes = max_nodes;
-        self
+impl BruteForce {
+    /// Creates the adapter.
+    pub fn new(model: CostModel) -> Self {
+        BruteForce { model }
     }
 }
 
@@ -58,12 +49,11 @@ impl Scheduler for BruteForce {
         if num_stages == 0 {
             return Err(ScheduleError::NoStages);
         }
-        if dag.len() > self.max_nodes {
+        if dag.len() > MAX_NODES {
             return Err(ScheduleError::SolverFailed(format!(
-                "graph has {} nodes; exhaustive search is capped at {} \
+                "graph has {} nodes; exhaustive search is capped at {MAX_NODES} \
                  (use `exact` for large graphs)",
                 dag.len(),
-                self.max_nodes
             )));
         }
         Ok(optimal_schedule(dag, num_stages, &self.model).0)
@@ -264,12 +254,6 @@ mod tests {
     fn adapter_cap_is_adjustable() {
         let params: Vec<u64> = (0..14).map(|i| i + 1).collect();
         let dag = chain(&params);
-        let model = mem_model();
-        assert!(BruteForce::new(model).schedule(&dag, 2).is_err());
-        let s = BruteForce::new(model)
-            .with_max_nodes(14)
-            .schedule(&dag, 2)
-            .unwrap();
-        assert!(s.is_valid(&dag));
+        assert!(BruteForce::new(mem_model()).schedule(&dag, 2).is_err());
     }
 }

@@ -23,14 +23,12 @@
 //! `respect-tpu`: the paper calls the resulting optimality gap
 //! "performance modeling miscorrelation" (Sec. IV-A) and we reproduce it.
 
-use serde::{Deserialize, Serialize};
-
 use respect_graph::{Dag, NodeId};
 
 use crate::schedule::Schedule;
 
 /// Cost-model constants. See the [module docs](self) for the formula.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Seconds per multiply-accumulate (Coral: 4 TOPS int8 peak).
     pub sec_per_mac: f64,
@@ -125,7 +123,7 @@ impl Default for CostModel {
 }
 
 /// Aggregate resources of one pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageResources {
     /// Total parameter bytes resident on the stage.
     pub param_bytes: u64,

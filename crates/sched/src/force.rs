@@ -150,15 +150,6 @@ pub fn force_directed(dag: &Dag, latency: usize) -> Vec<usize> {
     asap
 }
 
-/// Peak concurrency (max nodes per step) of a step assignment.
-pub fn peak_concurrency(steps: &[usize]) -> usize {
-    let mut counts = std::collections::HashMap::new();
-    for &s in steps {
-        *counts.entry(s).or_insert(0usize) += 1;
-    }
-    counts.values().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +164,15 @@ mod tests {
             b.add_edge(NodeId(u), NodeId(v)).unwrap();
         }
         b.build().unwrap()
+    }
+
+    /// Peak concurrency (max nodes per step) of a step assignment.
+    fn peak_concurrency(steps: &[usize]) -> usize {
+        let mut counts = std::collections::HashMap::new();
+        for &s in steps {
+            *counts.entry(s).or_insert(0usize) += 1;
+        }
+        counts.values().copied().max().unwrap_or(0)
     }
 
     #[test]

@@ -90,11 +90,6 @@ pub fn hu_schedule(dag: &Dag, machines: usize) -> Vec<Vec<NodeId>> {
     slots
 }
 
-/// Makespan (number of time steps) of [`hu_schedule`].
-pub fn hu_makespan(dag: &Dag, machines: usize) -> usize {
-    hu_schedule(dag, machines).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +109,15 @@ mod tests {
     #[test]
     fn chain_takes_length_steps_regardless_of_machines() {
         let dag = dag_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(hu_makespan(&dag, 1), 5);
-        assert_eq!(hu_makespan(&dag, 4), 5);
+        assert_eq!(hu_schedule(&dag, 1).len(), 5);
+        assert_eq!(hu_schedule(&dag, 4).len(), 5);
     }
 
     #[test]
     fn independent_tasks_pack_into_ceil_div() {
         let dag = dag_from_edges(7, &[]);
-        assert_eq!(hu_makespan(&dag, 3), 3); // ceil(7/3)
-        assert_eq!(hu_makespan(&dag, 7), 1);
+        assert_eq!(hu_schedule(&dag, 3).len(), 3); // ceil(7/3)
+        assert_eq!(hu_schedule(&dag, 7).len(), 1);
     }
 
     #[test]
@@ -130,7 +125,7 @@ mod tests {
         // Classic in-tree: 4 leaves -> 2 mids -> 1 root, 2 machines.
         // Optimal: t0 {l0,l1} t1 {l2,l3} t2 {m0,m1} t3 {root} = 4 steps.
         let dag = dag_from_edges(7, &[(0, 4), (1, 4), (2, 5), (3, 5), (4, 6), (5, 6)]);
-        assert_eq!(hu_makespan(&dag, 2), 4);
+        assert_eq!(hu_schedule(&dag, 2).len(), 4);
     }
 
     #[test]
@@ -157,7 +152,7 @@ mod tests {
     fn makespan_never_below_critical_path_or_work_bound() {
         let dag = dag_from_edges(8, &[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)]);
         for m in 1..=4 {
-            let ms = hu_makespan(&dag, m);
+            let ms = hu_schedule(&dag, m).len();
             let cp = dag.depth() + 1;
             let work = dag.len().div_ceil(m);
             assert!(ms >= cp.max(work), "m={m}");

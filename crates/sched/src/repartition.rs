@@ -5,7 +5,7 @@
 //! [`crate::anneal`]) answer "how should this model be partitioned?"
 //! from scratch. A serving runtime asks a different question mid-flight:
 //! "the deployed partition's bottleneck has drifted — what is the best
-//! *nearby* partition I can hot-swap to?" [`refine`] answers it with a
+//! *nearby* partition I can hot-swap to?" [`refine_with`] answers it with a
 //! deterministic best-improvement local search over single-node stage
 //! moves, costed by the `O(deg(v) + k)`-per-move
 //! [`IncrementalEvaluator`] — cheap enough to run between requests.
@@ -18,8 +18,8 @@
 //!   backwards and the stage count is unchanged;
 //! * fully deterministic (fixed node visit order, strict-improvement
 //!   acceptance, no randomness);
-//! * at convergence the result is a fixpoint: running [`refine`] again
-//!   returns the identical schedule with `moves == 0`.
+//! * at convergence the result is a fixpoint: refining it again returns
+//!   the identical schedule with `moves == 0`.
 
 use respect_graph::{Dag, NodeId};
 
@@ -28,8 +28,8 @@ use crate::incremental::IncrementalEvaluator;
 use crate::schedule::Schedule;
 
 /// Observer hook for [`refine_with`]: one callback per completed
-/// refinement pass. Monomorphized, so the no-op observer used by
-/// [`refine`] compiles to nothing. The serving runtime's probe layer
+/// refinement pass. Monomorphized, so a no-op observer compiles to
+/// nothing. The serving runtime's probe layer
 /// (`respect_tpu::probe`) adapts this into its structured event stream;
 /// keeping the trait here — below the simulator in the crate graph —
 /// lets the refiner stay dependency-free while still being observable.
@@ -39,22 +39,13 @@ pub trait RefineObserver {
     fn on_pass(&mut self, pass: usize, moves_in_pass: usize, objective: f64);
 }
 
-/// The do-nothing observer behind [`refine`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentRefine;
-
-impl RefineObserver for SilentRefine {
-    #[inline(always)]
-    fn on_pass(&mut self, _pass: usize, _moves_in_pass: usize, _objective: f64) {}
-}
-
 impl<F: FnMut(usize, usize, f64)> RefineObserver for F {
     fn on_pass(&mut self, pass: usize, moves_in_pass: usize, objective: f64) {
         self(pass, moves_in_pass, objective);
     }
 }
 
-/// Result of one [`refine`] call.
+/// Result of one [`refine_with`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepartitionOutcome {
     /// The refined schedule (same stage count as the input).
@@ -78,18 +69,8 @@ pub struct RepartitionOutcome {
 ///
 /// `from` must be valid for `dag` (stage count and dependency order);
 /// this is the caller's contract, as with the evaluator itself.
-pub fn refine(
-    dag: &Dag,
-    model: CostModel,
-    from: &Schedule,
-    max_passes: usize,
-) -> RepartitionOutcome {
-    refine_with(dag, model, from, max_passes, &mut SilentRefine)
-}
-
-/// [`refine`] with a [`RefineObserver`] reporting per-pass progress
-/// (accepted moves and the objective reached). `refine_with(..,
-/// &mut SilentRefine)` is exactly [`refine`].
+/// `observer` hears of every pass (accepted moves and the objective
+/// reached) and never changes the search.
 pub fn refine_with<O: RefineObserver>(
     dag: &Dag,
     model: CostModel,
@@ -196,7 +177,7 @@ mod tests {
             for k in [2usize, 4, 6] {
                 let from = ParamBalanced::new().schedule(&dag, k).unwrap();
                 let before = model.objective(&dag, &from);
-                let out = refine(&dag, model, &from, 16);
+                let out = refine_with(&dag, model, &from, 16, &mut |_, _, _| {});
                 assert!(out.schedule.is_valid(&dag), "{name}@{k}");
                 assert_eq!(out.schedule.num_stages(), k, "{name}@{k}");
                 assert!(
@@ -218,9 +199,9 @@ mod tests {
         let model = CostModel::coral();
         let dag = models::resnet101();
         let from = ParamBalanced::new().schedule(&dag, 4).unwrap();
-        let once = refine(&dag, model, &from, 64);
+        let once = refine_with(&dag, model, &from, 64, &mut |_, _, _| {});
         assert!(once.converged, "64 passes converge on resnet101@4");
-        let twice = refine(&dag, model, &once.schedule, 64);
+        let twice = refine_with(&dag, model, &once.schedule, 64, &mut |_, _, _| {});
         assert_eq!(twice.schedule, once.schedule);
         assert_eq!(twice.moves, 0);
         assert!(twice.converged);
@@ -240,7 +221,7 @@ mod tests {
         let dag = models::resnet101v2();
         let from = ParamBalanced::new().schedule(&dag, 4).unwrap();
         let before = model.objective(&dag, &from);
-        let out = refine(&dag, model, &from, 64);
+        let out = refine_with(&dag, model, &from, 64, &mut |_, _, _| {});
         assert!(
             out.objective < 0.85 * before,
             "refine {before} -> {} gained under 15%",
@@ -254,7 +235,7 @@ mod tests {
         let model = CostModel::coral();
         let dag = models::resnet101v2();
         let from = ParamBalanced::new().schedule(&dag, 4).unwrap();
-        let silent = refine(&dag, model, &from, 16);
+        let silent = refine_with(&dag, model, &from, 16, &mut |_, _, _| {});
         let mut passes: Vec<(usize, usize, f64)> = Vec::new();
         let mut log = |pass: usize, moves: usize, obj: f64| passes.push((pass, moves, obj));
         let observed = refine_with(&dag, model, &from, 16, &mut log);
@@ -275,7 +256,7 @@ mod tests {
         let model = CostModel::coral();
         let dag = models::xception();
         let from = ParamBalanced::new().schedule(&dag, 5).unwrap();
-        let out = refine(&dag, model, &from, 0);
+        let out = refine_with(&dag, model, &from, 0, &mut |_, _, _| {});
         assert_eq!(out.schedule, from);
         assert_eq!(out.moves, 0);
         assert!(!out.converged);

@@ -1,6 +1,5 @@
 //! Pipeline schedules and their validity rules.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -70,7 +69,7 @@ impl Error for ScheduleError {}
 /// Invariant (checked by [`Schedule::new`]): every stage index is in
 /// `0..num_stages`. Dependency feasibility is graph-relative and checked
 /// by [`Schedule::validate`] / [`Schedule::is_valid`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     stage_of: Vec<usize>,
     num_stages: usize,
@@ -146,15 +145,6 @@ impl Schedule {
     #[inline]
     pub fn num_stages(&self) -> usize {
         self.num_stages
-    }
-
-    /// Nodes per stage, each in ascending node-id order.
-    pub fn stage_sets(&self) -> Vec<Vec<NodeId>> {
-        let mut sets = vec![Vec::new(); self.num_stages];
-        for (i, &s) in self.stage_of.iter().enumerate() {
-            sets[s].push(NodeId(i as u32));
-        }
-        sets
     }
 
     /// Checks the schedule against `dag`: one entry per node and no edge
@@ -277,14 +267,6 @@ mod tests {
     fn from_cuts_rejects_decreasing() {
         let order: Vec<_> = (0..4u32).map(NodeId).collect();
         let _ = Schedule::from_cuts(&order, &[3, 1], 3);
-    }
-
-    #[test]
-    fn stage_sets_partition_nodes() {
-        let s = Schedule::new(vec![1, 0, 1], 2).unwrap();
-        let sets = s.stage_sets();
-        assert_eq!(sets[0], vec![NodeId(1)]);
-        assert_eq!(sets[1], vec![NodeId(0), NodeId(2)]);
     }
 
     #[test]

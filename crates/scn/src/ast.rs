@@ -71,6 +71,18 @@ pub enum ModelSpec {
     },
 }
 
+/// Why the sampler cannot draw a `model random` graph of this shape, if
+/// it cannot: it needs at least one node and a `deg` in `2..=6`.
+pub(crate) fn random_shape_error(nodes: usize, deg: usize) -> Option<&'static str> {
+    if nodes == 0 {
+        Some("model random needs at least 1 node")
+    } else if !(2..=6).contains(&deg) {
+        Some("model random deg must be in 2..=6")
+    } else {
+        None
+    }
+}
+
 /// Scheduler selection: a registry name plus optional build options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerSpec {

@@ -20,8 +20,8 @@ use respect_graph::generate::{SyntheticConfig, SyntheticSampler};
 use respect_graph::Dag;
 
 use crate::ast::{
-    Assertion, AssertionKind, Engine, Expr, MetricRef, ModelSpec, Scenario, Scope, TenantSpec,
-    MODELS,
+    random_shape_error, Assertion, AssertionKind, Engine, Expr, MetricRef, ModelSpec, Scenario,
+    Scope, TenantSpec, MODELS,
 };
 use crate::ScnError;
 
@@ -120,26 +120,33 @@ pub(crate) fn effective_requests(s: &Scenario, t: &TenantSpec) -> Result<usize, 
 impl Scenario {
     /// Builds the scenario's model graph.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// When a hand-built [`ModelSpec::Named`] names a model the parser
-    /// would not admit.
-    #[must_use]
-    pub fn dag(&self) -> Dag {
+    /// [`ScnError`] at the `run` directive when a hand-built
+    /// [`ModelSpec`] is one the parser would not admit: an unknown name,
+    /// or a random shape with no nodes or a `deg` outside `2..=6`.
+    pub fn dag(&self) -> Result<Dag, ScnError> {
+        let run = self.run.pos;
         match &self.model {
             ModelSpec::Named(name) => {
-                let (_, build) = MODELS
-                    .iter()
-                    .find(|(known, _)| known == name)
-                    .unwrap_or_else(|| panic!("unknown model `{name}`"));
-                build()
+                let Some((_, build)) = MODELS.iter().find(|(known, _)| known == name) else {
+                    return Err(ScnError::at(
+                        run.line,
+                        run.col,
+                        format!("unknown model `{name}`"),
+                    ));
+                };
+                Ok(build())
             }
             ModelSpec::Random { seed, nodes, deg } => {
+                if let Some(msg) = random_shape_error(*nodes, *deg) {
+                    return Err(ScnError::at(run.line, run.col, msg));
+                }
                 let cfg = SyntheticConfig {
                     num_nodes: *nodes,
                     ..SyntheticConfig::paper(*deg)
                 };
-                SyntheticSampler::new(cfg, *seed).sample()
+                Ok(SyntheticSampler::new(cfg, *seed).sample())
             }
         }
     }
@@ -250,7 +257,7 @@ impl Scenario {
     ///
     /// Same as [`Scenario::execute`].
     pub fn execute_probed<P: Probe>(&self, probe: &mut P) -> Result<ScenarioRun, ScnError> {
-        let dag = self.dag();
+        let dag = self.dag()?;
         let d = self.deployment(&dag)?;
         let rpos = self.run.pos;
         let engine_err = |e: respect::Error| ScnError::at(rpos.line, rpos.col, format!("{e}"));
@@ -418,9 +425,7 @@ const FLEET_RUN: Metrics<FleetReport> = &[
     ("jobs", |r| {
         r.chains.iter().map(|c| c.jobs).sum::<usize>() as f64
     }),
-    ("swaps", |r| {
-        r.chains.iter().map(|c| c.swaps).sum::<usize>() as f64
-    }),
+    ("swaps", |r| r.total_swaps() as f64),
     ("energy", FleetReport::total_energy_j),
     ("p50", FleetReport::p50_s),
     ("p95", FleetReport::p95_s),

@@ -23,7 +23,8 @@ pub enum Tok {
     /// A numeric literal, optionally suffixed with a time unit
     /// (`120ms`, `5e-3`, `40`). The value is *unscaled*; the parser
     /// applies the unit where a duration is expected and rejects it
-    /// where a plain number is expected.
+    /// where a plain number is expected. A literal that overflows `f64`
+    /// (`1e400`) is an error, so the value is always finite.
     Number {
         /// The literal's numeric value, before any unit scaling.
         value: f64,
@@ -300,6 +301,15 @@ fn lex_number(chars: &[char], line: usize, col: usize) -> Result<(Tok, usize), S
     let value: f64 = digits
         .parse()
         .map_err(|_| ScnError::at(line, col, format!("malformed number `{digits}`")))?;
+    // an overflowing literal would read as infinity, which no canonical
+    // rendering can spell back as a number
+    if value.is_infinite() {
+        return Err(ScnError::at(
+            line,
+            col,
+            format!("number `{digits}` is out of range"),
+        ));
+    }
     // an alphabetic tail is a unit suffix; validate it here so `120msec`
     // fails at the suffix, not at some downstream keyword check
     let suffix: String = chars[i..]

@@ -13,8 +13,8 @@ use respect_serve::{AdmissionPolicy, AutoscalePolicy, BatchPolicy, RouterPolicy}
 use respect_tpu::sim::Arrivals;
 
 use crate::ast::{
-    Assertion, AssertionKind, Cmp, Engine, Expr, MetricRef, ModelSpec, Op, Pos, RepartitionSpec,
-    RunSpec, Scenario, SchedulerSpec, Scope, TenantSpec, MODELS,
+    random_shape_error, Assertion, AssertionKind, Cmp, Engine, Expr, MetricRef, ModelSpec, Op, Pos,
+    RepartitionSpec, RunSpec, Scenario, SchedulerSpec, Scope, TenantSpec, MODELS,
 };
 use crate::exec::is_metric;
 use crate::lex::{lex, Tok, Token, Unit};
@@ -272,11 +272,8 @@ impl Parser {
                         let seed = req(&kv, "seed", "model random", pos)?.seed("seed")?;
                         let nodes = opt(&kv, "nodes").map_or(Ok(30), |v| v.int("nodes"))?;
                         let deg = opt(&kv, "deg").map_or(Ok(2), |v| v.int("deg"))?;
-                        if nodes == 0 {
-                            return Err(err(pos, "model random needs at least 1 node"));
-                        }
-                        if !(2..=6).contains(&deg) {
-                            return Err(err(pos, "model random deg must be in 2..=6"));
+                        if let Some(msg) = random_shape_error(nodes, deg) {
+                            return Err(err(pos, msg));
                         }
                         ModelSpec::Random { seed, nodes, deg }
                     } else {

@@ -5,6 +5,7 @@
 //! rendering reproduces the scenario (position-independent equality).
 
 use proptest::prelude::*;
+use respect_scn::ast::ModelSpec;
 use respect_scn::parse;
 
 /// Parses `src`, which must fail, and returns `(line, col, msg)`.
@@ -37,6 +38,22 @@ pin!(
     4,
     18,
     "unknown time unit `q` (expected s, ms, us, or ns)"
+);
+
+pin!(
+    overflowing_number_in_an_assertion,
+    "model resnet50\ntenant\nrequests 5\nrun sim\nassert makespan < 1e400\n",
+    5,
+    19,
+    "number `1e400` is out of range"
+);
+
+pin!(
+    overflowing_number_in_a_policy,
+    "model resnet50\ntenant\nrequests 5\nchains 2\nautoscale up=1e400\nrun fleet\n",
+    5,
+    14,
+    "number `1e400` is out of range"
 );
 
 pin!(
@@ -348,6 +365,33 @@ pin!(
     1,
     "warm-up of 5 requests leaves nothing to measure out of 5"
 );
+
+// ---- interpreter diagnostics on hand-built scenarios ----
+
+#[test]
+fn hand_built_models_the_parser_refuses_are_errors_at_the_run_directive() {
+    let mut s = parse("model resnet50\ntenant\nrequests 5\nrun sim\n").unwrap();
+    let random = |nodes, deg| ModelSpec::Random {
+        seed: 1,
+        nodes,
+        deg,
+    };
+    for (model, msg) in [
+        (
+            ModelSpec::Named("resnet999".into()),
+            "unknown model `resnet999`",
+        ),
+        (random(12, 9), "model random deg must be in 2..=6"),
+        (random(0, 3), "model random needs at least 1 node"),
+    ] {
+        s.model = model;
+        let expected = (4, 1, msg.to_string());
+        let e = s.dag().expect_err("the parser would not admit this model");
+        assert_eq!((e.line, e.col, e.msg), expected);
+        let e = s.execute().expect_err("execution builds the same graph");
+        assert_eq!((e.line, e.col, e.msg), expected);
+    }
+}
 
 // ---- canonical form: format → parse → format is a fixed point ----
 

@@ -11,7 +11,7 @@
 //! when the measured utilization shares skew away from the balanced
 //! ideal (`1/stages` each) beyond [`DriftPolicy::threshold`], the
 //! serving runtime re-runs the incremental scheduler
-//! ([`respect_sched::repartition::refine`]) and hot-swaps the pipeline
+//! ([`respect_sched::repartition::refine_with`]) and hot-swaps the pipeline
 //! at a job boundary. A pipeline that is persistently but *correctly*
 //! unbalanced (no better partition exists) keeps triggering until its
 //! attempt budget is spent, but never swaps: the refiner finds no gain
@@ -19,12 +19,11 @@
 
 use respect_graph::Dag;
 use respect_sched::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// When and how aggressively the runtime re-partitions. All fields have
 /// deterministic semantics: given the same event stream, the same swaps
 /// happen at the same simulated times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftPolicy {
     /// Completed jobs per drift evaluation window.
     pub window_jobs: usize,
@@ -41,7 +40,7 @@ pub struct DriftPolicy {
     /// before it is swapped in (e.g. `0.02` = 2%).
     pub min_gain: f64,
     /// Refinement passes handed to
-    /// [`respect_sched::repartition::refine`].
+    /// [`respect_sched::repartition::refine_with`].
     pub passes: usize,
 }
 

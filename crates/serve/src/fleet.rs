@@ -35,7 +35,6 @@ use respect_tpu::device::DeviceSpec;
 use respect_tpu::energy::{self, EnergyTotals};
 use respect_tpu::event_queue::{CalendarQueue, EventQueue};
 use respect_tpu::probe::{EngineInspect, EngineKind, EngineSnapshot, NullProbe, Probe, ProbeEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::chain::{ChainEngine, ChainEvent, Event, TenantRecords};
 use crate::hist::LatencyHistogram;
@@ -46,7 +45,7 @@ use crate::runtime::{
 /// How the fleet places each arriving request on an active chain. All
 /// policies are deterministic per seed; backlog ties break toward the
 /// lower chain index by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum RouterPolicy {
     /// Per-tenant round-robin over the active chains (the passthrough
     /// policy: on a 1-chain fleet every request lands on chain 0).
@@ -75,7 +74,7 @@ pub enum RouterPolicy {
 /// bottleneck service time — the same Little's-law arithmetic the
 /// `SloDelay` admission policy sheds on), evaluated every
 /// [`AutoscalePolicy::check_jobs`] completed jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalePolicy {
     /// The active prefix never shrinks below this many chains.
     pub min_chains: usize,
@@ -217,7 +216,7 @@ impl Default for FleetConfig {
 }
 
 /// One autoscaler decision: the active-chain count changed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Simulated time of the change, seconds.
     pub at_s: f64,
@@ -228,7 +227,7 @@ pub struct ScaleEvent {
 }
 
 /// Per-chain results of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainReport {
     /// Requests admitted by this chain (across tenants).
     pub admitted: usize,
@@ -269,7 +268,7 @@ impl ChainReport {
 }
 
 /// Results of one fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// One report per tenant, in input order, merged across chains.
     pub tenants: Vec<TenantServeReport>,
@@ -342,25 +341,6 @@ impl FleetReport {
     #[must_use]
     pub fn scale_event_log(&self) -> &[ScaleEvent] {
         &self.scale_events
-    }
-
-    /// Autoscaler decisions that grew the active prefix.
-    #[must_use]
-    pub fn scale_up_count(&self) -> usize {
-        self.scale_events.iter().filter(|e| e.to > e.from).count()
-    }
-
-    /// Autoscaler decisions that shrank the active prefix.
-    #[must_use]
-    pub fn scale_down_count(&self) -> usize {
-        self.scale_events.iter().filter(|e| e.to < e.from).count()
-    }
-
-    /// Pipeline hot-swaps accepted per chain, in
-    /// [`FleetConfig::chains`] order.
-    #[must_use]
-    pub fn chain_swap_counts(&self) -> Vec<usize> {
-        self.chains.iter().map(|c| c.swaps).collect()
     }
 
     /// Pipeline hot-swaps accepted across the whole fleet. Equals the

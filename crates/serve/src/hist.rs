@@ -20,14 +20,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-bucket resolution: 2^5 = 32 sub-buckets per octave.
 const SUB_BITS: u32 = 5;
 
 /// A mergeable, bitwise-deterministic log-bucket histogram of
 /// nonnegative `f64` samples (seconds, by convention).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
     /// Bucket index → sample count. Sparse; ordered iteration gives
     /// ascending sample magnitude.

@@ -47,7 +47,6 @@ use respect_tpu::device::DeviceSpec;
 use respect_tpu::event_queue::{CalendarQueue, EventQueue};
 use respect_tpu::probe::{EngineInspect, EngineSnapshot, NullProbe, Probe, ProbeEvent};
 use respect_tpu::sim::{Arrivals, CompletionRecord, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::chain::{ChainEngine, ChainEvent, Event, TenantRecords};
 use crate::drift::Repartitioner;
@@ -148,7 +147,7 @@ impl fmt::Display for ServeError {
 impl Error for ServeError {}
 
 /// Dynamic batching policy of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Requests per batch at which the batch closes immediately.
     pub max_batch: usize,
@@ -187,7 +186,7 @@ impl Default for BatchPolicy {
 
 /// Admission (load-shedding) policy of one tenant. All policies are
 /// deterministic functions of the backlog visible at arrival time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum AdmissionPolicy {
     /// Admit everything (the raw-simulator-equivalent policy).
     #[default]
@@ -341,7 +340,7 @@ impl Default for ServeConfig {
 }
 
 /// One accepted pipeline hot-swap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapRecord {
     /// Simulated time of the swap, seconds.
     pub at_s: f64,
@@ -354,7 +353,7 @@ pub struct SwapRecord {
 }
 
 /// Per-tenant results of a serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantServeReport {
     /// Requests offered by the arrival process.
     pub offered: usize,
@@ -427,7 +426,7 @@ impl TenantServeReport {
 }
 
 /// Results of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// One report per tenant, in input order.
     pub tenants: Vec<TenantServeReport>,

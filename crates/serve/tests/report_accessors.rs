@@ -128,12 +128,10 @@ fn fleet_swap_log_accessors_mirror_the_per_chain_reports() {
         );
     let cfg = FleetConfig::homogeneous(2, spec);
     let r = serve_fleet(&[tenant], &cfg).unwrap();
-    assert_eq!(r.chain_swap_counts().len(), r.chains.len());
     assert_eq!(
-        r.chain_swap_counts(),
-        r.chains.iter().map(|c| c.swaps).collect::<Vec<_>>()
+        r.total_swaps(),
+        r.chains.iter().map(|c| c.swaps).sum::<usize>()
     );
-    assert_eq!(r.chain_swap_counts().iter().sum::<usize>(), r.total_swaps());
     assert_eq!(
         r.total_swaps(),
         r.tenants.iter().map(|t| t.swaps.len()).sum::<usize>(),
@@ -147,8 +145,6 @@ fn fleet_swap_log_accessors_mirror_the_per_chain_reports() {
         r.scale_event_log().is_empty(),
         "no autoscaler means no scale events"
     );
-    assert_eq!(r.scale_up_count(), 0);
-    assert_eq!(r.scale_down_count(), 0);
 }
 
 #[test]
@@ -169,12 +165,14 @@ fn fleet_scale_log_accessors_mirror_the_event_log() {
     );
     let r = serve_fleet(&[flood], &cfg).unwrap();
     assert_eq!(r.scale_event_log(), r.scale_events.as_slice());
-    assert_eq!(
-        r.scale_up_count() + r.scale_down_count(),
-        r.scale_event_log().len(),
+    assert!(
+        r.scale_events.iter().all(|e| e.to != e.from),
         "every scale event either grows or shrinks the prefix"
     );
-    assert!(r.scale_up_count() >= 1, "the flood must scale the fleet up");
+    assert!(
+        r.scale_events.iter().any(|e| e.to > e.from),
+        "the flood must scale the fleet up"
+    );
     // the log is a contiguous chain: each step starts where the last
     // ended, beginning at the min_chains floor
     let mut active = 1usize;

@@ -257,8 +257,13 @@ fn repartitioner_leaves_a_well_partitioned_deployment_alone() {
     // trigger on residual skew, but the min-gain gate must refuse to
     // swap (refinement is a fixpoint).
     let (dag, pipeline, spec) = poor_deployment();
-    let refined =
-        respect_sched::repartition::refine(&dag, spec.cost_model(), &pipeline.schedule, 32);
+    let refined = respect_sched::repartition::refine_with(
+        &dag,
+        spec.cost_model(),
+        &pipeline.schedule,
+        32,
+        &mut |_, _, _| {},
+    );
     assert!(refined.converged);
     let good = compile::compile(&dag, &refined.schedule, &spec).unwrap();
     let tenant = ServeTenant::new(good, 1_500)

@@ -8,15 +8,13 @@
 //! metric ("parameter caching ... peak memory usage per stage") reads off
 //! these allocations.
 
-use serde::{Deserialize, Serialize};
-
 use respect_graph::{Dag, NodeId};
 use respect_sched::Schedule;
 
 use crate::device::DeviceSpec;
 
 /// Parameter placement for one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageCaching {
     /// Per-operator placement, in execution order: `(node, cached)`.
     pub placement: Vec<(NodeId, bool)>,
@@ -58,15 +56,6 @@ pub fn allocate(dag: &Dag, schedule: &Schedule, spec: &DeviceSpec) -> Vec<StageC
         stage.placement.push((v, cached));
     }
     stages
-}
-
-/// Peak per-stage parameter memory in bytes (Fig. 5's vertical axis).
-pub fn peak_stage_bytes(allocations: &[StageCaching]) -> u64 {
-    allocations
-        .iter()
-        .map(StageCaching::total_bytes)
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -134,7 +123,7 @@ mod tests {
             let alloc = allocate(&dag, &s, &spec);
             let total: u64 = alloc.iter().map(StageCaching::total_bytes).sum();
             assert_eq!(total, dag.total_param_bytes(), "k={k}");
-            assert!(peak_stage_bytes(&alloc) >= total / k as u64);
+            assert!(alloc.iter().any(|a| a.total_bytes() >= total / k as u64));
         }
     }
 
@@ -155,7 +144,6 @@ mod tests {
         assert_eq!(alloc[0].placement.len(), 1);
         assert_eq!(alloc[0].cached_bytes, spec.sram_bytes);
         assert_eq!(alloc[0].streamed_bytes, 0);
-        assert_eq!(peak_stage_bytes(&alloc), spec.sram_bytes);
         // one byte over: the single node streams in full
         let mut b = DagBuilder::new();
         b.add_node(
@@ -179,12 +167,8 @@ mod tests {
         assert_eq!(alloc.len(), 3);
         assert!(alloc[1].placement.is_empty());
         assert_eq!(alloc[1].total_bytes(), 0);
-        assert_eq!(peak_stage_bytes(&alloc), 1 << 20);
-    }
-
-    #[test]
-    fn peak_of_no_allocations_is_zero() {
-        assert_eq!(peak_stage_bytes(&[]), 0);
+        assert_eq!(alloc[0].total_bytes(), 1 << 20);
+        assert_eq!(alloc[2].total_bytes(), 1 << 20);
     }
 
     #[test]
@@ -195,7 +179,6 @@ mod tests {
         assert_eq!(alloc[0].cached_bytes, 0);
         assert_eq!(alloc[0].streamed_bytes, 0);
         assert!(alloc[0].placement.iter().all(|&(_, cached)| cached));
-        assert_eq!(peak_stage_bytes(&alloc), 0);
     }
 
     #[test]
@@ -206,7 +189,8 @@ mod tests {
             .schedule(&dag, 4)
             .unwrap();
         let alloc = allocate(&dag, &s, &spec);
+        let peak = alloc.iter().map(StageCaching::total_bytes).max();
         let via_cost_model = spec.cost_model().peak_stage_param_bytes(&dag, &s);
-        assert_eq!(peak_stage_bytes(&alloc), via_cost_model);
+        assert_eq!(peak, Some(via_cost_model));
     }
 }

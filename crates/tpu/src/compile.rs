@@ -15,8 +15,6 @@
 //!   `O(weight bytes)` — the origin of the paper's Fig. 3 solving-time
 //!   gap against RESPECT's single forward pass.
 
-use serde::{Deserialize, Serialize};
-
 use respect_graph::{Dag, NodeId};
 use respect_sched::balanced::OpBalanced;
 use respect_sched::{Schedule, ScheduleError, Scheduler};
@@ -25,7 +23,7 @@ use crate::caching;
 use crate::device::DeviceSpec;
 
 /// One pipeline stage of a compiled model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Stage index.
     pub stage: usize,
@@ -46,7 +44,7 @@ pub struct Segment {
 }
 
 /// A model compiled for an `n`-stage pipelined Edge TPU system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPipeline {
     /// Per-stage segments, one per pipeline stage.
     pub segments: Vec<Segment>,
@@ -105,7 +103,7 @@ pub fn compile(
 }
 
 /// Statistics of a full (toolchain-emulating) compile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompileStats {
     /// Bytes written into stage binary images.
     pub binary_bytes: u64,

@@ -6,12 +6,10 @@
 //! SRAM usable as a parameter cache, USB 3.0 connectivity with ~320 MB/s
 //! effective bulk throughput, ~2 W active power.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::SimError;
 
 /// Hardware constants of one pipeline stage (an Edge TPU on USB 3.0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     /// On-chip SRAM usable for parameter caching, bytes.
     pub sram_bytes: u64,

@@ -7,8 +7,6 @@
 //! twice — once through the slower bottleneck and once through idle
 //! stages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::compile::CompiledPipeline;
 use crate::device::DeviceSpec;
 use crate::exec::InferenceReport;
@@ -19,7 +17,7 @@ use crate::exec::InferenceReport;
 /// serving runtime (`respect_serve`) attaches one per chain so fleet
 /// sweeps over heterogeneous [`DeviceSpec`]s can compare joules per
 /// request chain by chain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyTotals {
     /// Energy drawn while computing or transferring, joules.
     pub busy_j: f64,
@@ -54,7 +52,7 @@ pub fn serving_energy(spec: &DeviceSpec, devices: usize, busy_s: f64, span_s: f6
 }
 
 /// Energy accounting for one simulated inference stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// Total energy over the stream, joules.
     pub total_j: f64,

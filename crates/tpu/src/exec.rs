@@ -27,8 +27,6 @@
 //! (bus contention, open-loop arrivals, batching, multi-tenancy) are
 //! reached through [`crate::sim`] directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::compile::{CompiledPipeline, Segment};
 use crate::device::DeviceSpec;
 use crate::sim::{self, SimConfig};
@@ -36,7 +34,7 @@ use crate::sim::{self, SimConfig};
 pub use crate::sim::SimError;
 
 /// Result of simulating an inference stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceReport {
     /// Wall-clock to finish all inferences, seconds.
     pub total_s: f64,

@@ -42,12 +42,10 @@
 //! assert_eq!(p.0.len(), 1);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::ResourceId;
 
 /// Why an admission controller refused a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedReason {
     /// The tenant's waiting queue was at its bound.
     QueueBound,
@@ -62,7 +60,7 @@ pub enum ShedReason {
 /// is the workload index in input order, and `request` is the tenant's
 /// request index. Sim-time is *not* carried here — it is the first
 /// argument of [`Probe::record`], so the payload stays `Copy`-small.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum ProbeEvent {
     /// A request entered the system.

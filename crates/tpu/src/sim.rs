@@ -55,7 +55,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::chain::{Chain, JobId, JobTable, StageEvent, StageTiming};
 use crate::compile::{CompiledPipeline, Segment};
@@ -171,7 +170,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// How requests enter the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrivals {
     /// Infinite backlog: every request is queued at `t = 0` (the legacy
     /// closed-loop stream of [`crate::exec`]).
@@ -409,7 +408,7 @@ impl ArrivalSampler {
 }
 
 /// One tenant: a compiled pipeline plus its traffic shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The model, compiled onto the device chain (stage `k` of the
     /// pipeline runs on device `k`).
@@ -529,7 +528,7 @@ impl Default for SimConfig {
 }
 
 /// A simulated resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceId {
     /// Edge TPU at chain position `k`.
     Device(usize),
@@ -539,7 +538,7 @@ pub enum ResourceId {
 
 /// Exact event times of one request (recorded when
 /// [`SimConfig::record_completions`] is set).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionRecord {
     /// Request index within the tenant.
     pub request: usize,
@@ -560,7 +559,7 @@ impl CompletionRecord {
 }
 
 /// Per-tenant results of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Requests simulated.
     pub requests: usize,
@@ -584,7 +583,7 @@ pub struct TenantReport {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// One report per workload, in input order.
     pub tenants: Vec<TenantReport>,

@@ -19,20 +19,6 @@ pub fn transfer_time(spec: &DeviceSpec, bytes: u64) -> f64 {
     }
 }
 
-/// Seconds to move `bytes` split across `chunks` equal bulk transfers
-/// (parameter streaming issues one transfer per weight block).
-///
-/// # Panics
-///
-/// Panics if `chunks == 0` while `bytes > 0`.
-pub fn chunked_transfer_time(spec: &DeviceSpec, bytes: u64, chunks: usize) -> f64 {
-    if bytes == 0 {
-        return 0.0;
-    }
-    assert!(chunks > 0, "need at least one chunk for a nonzero transfer");
-    chunks as f64 * spec.usb_overhead_s + bytes as f64 / spec.usb_bytes_per_sec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,7 +28,6 @@ mod tests {
     fn zero_bytes_is_free() {
         let spec = DeviceSpec::coral();
         assert_eq!(transfer_time(&spec, 0), 0.0);
-        assert_eq!(chunked_transfer_time(&spec, 0, 4), 0.0);
     }
 
     #[test]
@@ -63,43 +48,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one chunk")]
-    fn zero_chunks_with_payload_panics() {
-        let spec = DeviceSpec::coral();
-        let _ = chunked_transfer_time(&spec, 100, 0);
-    }
-
-    #[test]
-    fn zero_chunks_without_payload_is_free() {
-        // the chunk count is irrelevant when no transfer is issued
-        let spec = DeviceSpec::coral();
-        assert_eq!(chunked_transfer_time(&spec, 0, 0), 0.0);
-    }
-
-    #[test]
-    fn one_chunk_equals_plain_transfer() {
-        let spec = DeviceSpec::coral();
-        for bytes in [1u64, 4096, 1 << 20] {
-            assert_eq!(
-                chunked_transfer_time(&spec, bytes, 1),
-                transfer_time(&spec, bytes)
-            );
-        }
-    }
-
-    #[test]
-    fn more_chunks_than_bytes_still_pay_per_chunk_overhead() {
-        // parameter streaming may issue many tiny weight blocks; each
-        // chunk pays the fixed submission overhead even when the payload
-        // is smaller than the chunk count
-        let spec = DeviceSpec::coral();
-        let t = chunked_transfer_time(&spec, 3, 10);
-        let expected = 10.0 * spec.usb_overhead_s + 3.0 / spec.usb_bytes_per_sec;
-        assert!((t - expected).abs() < 1e-18);
-        assert!(t > chunked_transfer_time(&spec, 3, 3));
-    }
-
-    #[test]
     fn single_byte_transfer_is_overhead_plus_one_byte() {
         let spec = DeviceSpec::coral();
         let t = transfer_time(&spec, 1);
@@ -112,15 +60,6 @@ mod tests {
             let spec = DeviceSpec::coral();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(transfer_time(&spec, lo) <= transfer_time(&spec, hi));
-        }
-
-        #[test]
-        fn more_chunks_cost_more(bytes in 1u64..1 << 24, c in 1usize..16) {
-            let spec = DeviceSpec::coral();
-            prop_assert!(
-                chunked_transfer_time(&spec, bytes, c)
-                    <= chunked_transfer_time(&spec, bytes, c + 1)
-            );
         }
     }
 }
