@@ -446,10 +446,11 @@ fn fig4(quick: bool, budget: Duration) {
 }
 
 fn fig5(quick: bool, budget: Duration) {
-    println!("\n== Fig. 5: gap-to-optimal parameter caching (peak MB/stage) ======");
+    println!("\n== Fig. 5: parameter caching vs the exact schedule (peak MB/stage) =");
+    println!("exact MB: peak of the latency-optimal schedule; gap < 0: RESPECT's is lower");
     println!(
         "{:<20} {:>3} {:>12} {:>12} {:>8}",
-        "model", "k", "optimal MB", "RESPECT MB", "gap %"
+        "model", "k", "exact MB", "RESPECT MB", "gap %"
     );
     let rows = experiments::fig5(quick, budget);
     for r in &rows {
@@ -457,7 +458,7 @@ fn fig5(quick: bool, budget: Duration) {
             "{:<20} {:>3} {:>12.2} {:>12.2} {:>8.2}",
             r.name,
             r.stages,
-            r.optimal_mb,
+            r.exact_mb,
             r.respect_mb,
             r.gap_pct()
         );

@@ -1,6 +1,5 @@
 //! Shared experiment harness regenerating every table and figure of the
-//! paper's evaluation (Sec. IV). See `DESIGN.md` for the experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! paper's evaluation (Sec. IV), as the `reproduce` binary prints them.
 //!
 //! The three competitors are constructed exactly as the paper frames
 //! them:
@@ -14,7 +13,6 @@
 //!   ([`respect_sched::exact::ExactScheduler`]) with an optional time
 //!   budget mirroring a practical ILP limit.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use respect_core::model_io;
@@ -35,24 +33,23 @@ pub const STAGE_COUNTS: [usize; 3] = [4, 5, 6];
 /// Training scale for the benchmark policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyScale {
-    /// Seconds of training — enough to exercise the full pipeline.
+    /// 8 graphs over 2 epochs (about 12 ms of training on a 2-vCPU
+    /// Xeon VM) — enough to exercise the full pipeline.
     Quick,
-    /// Minutes of training — the default for reported numbers.
+    /// 160 graphs over 3 epochs (about 1 s there) — the default for
+    /// reported numbers.
     Bench,
 }
 
-/// Returns the cached benchmark policy, training (and caching) it on
-/// first use. Set `RESPECT_POLICY` to a `.rspp` path to use your own.
+/// Trains the benchmark policy from its fixed seed, so every call
+/// (and every commit's figures) uses the policy of the code it runs.
+/// Set `RESPECT_POLICY` to a `.rspp` path to use your own.
 pub fn bench_policy(scale: PolicyScale) -> PtrNetPolicy {
     if let Ok(path) = std::env::var("RESPECT_POLICY") {
         if let Ok(p) = model_io::load_policy(&path) {
             return p;
         }
         eprintln!("warning: RESPECT_POLICY at {path} unreadable; retraining");
-    }
-    let cache = cache_path(scale);
-    if let Ok(p) = model_io::load_policy(&cache) {
-        return p;
     }
     let mut cfg = match scale {
         PolicyScale::Quick => {
@@ -74,22 +71,7 @@ pub fn bench_policy(scale: PolicyScale) -> PtrNetPolicy {
         }
     };
     cfg.seed = 0xbe9c;
-    let policy = train_policy(&cfg).expect("benchmark training");
-    if let Some(dir) = cache.parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    model_io::save_policy(&cache, &policy).ok();
-    policy
-}
-
-fn cache_path(scale: PolicyScale) -> PathBuf {
-    let tag = match scale {
-        PolicyScale::Quick => "quick",
-        PolicyScale::Bench => "bench",
-    };
-    let target = std::env::var("CARGO_TARGET_DIR")
-        .unwrap_or_else(|_| format!("{}/../../target", env!("CARGO_MANIFEST_DIR")));
-    PathBuf::from(target).join(format!("respect_policy_{tag}_v1.rspp"))
+    train_policy(&cfg).expect("benchmark training")
 }
 
 /// The three schedulers of the paper's comparison, plus the ILP-style
@@ -101,7 +83,8 @@ pub struct Competitors {
     /// Commercial compiler emulation (heuristic baseline).
     pub compiler: EdgeTpuCompiler,
     /// Exact solver with heuristic warm start — fast and provably
-    /// optimal; supplies the "Optimal Objective" of Figs. 4 and 5.
+    /// optimal in bottleneck latency; its schedule is the reference of
+    /// Figs. 4 and 5.
     pub exact: ExactScheduler,
     /// Generic ILP-style branch-and-bound — the solving-time behaviour
     /// of the paper's CPLEX baseline (Fig. 3).

@@ -66,25 +66,6 @@ pub enum OpKind {
     Other,
 }
 
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            OpKind::Conv2d => "conv2d",
-            OpKind::DepthwiseConv2d => "dwconv2d",
-            OpKind::Dense => "dense",
-            OpKind::Pool => "pool",
-            OpKind::Add => "add",
-            OpKind::Concat => "concat",
-            OpKind::Activation => "act",
-            OpKind::BatchNorm => "bn",
-            OpKind::Input => "input",
-            OpKind::Output => "output",
-            OpKind::Other => "other",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One operator of a computational graph.
 ///
 /// Carries exactly the attributes the RESPECT framework extracts from a
@@ -598,7 +579,6 @@ mod tests {
     #[test]
     fn display_impls_nonempty() {
         assert_eq!(NodeId(3).to_string(), "n3");
-        assert_eq!(OpKind::Conv2d.to_string(), "conv2d");
         assert!(!format!("{:?}", diamond()).is_empty());
     }
 }

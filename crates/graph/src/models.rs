@@ -6,8 +6,7 @@
 //! *generates* graphs with the published structure: the exact node count
 //! `|V|`, maximum in-degree `deg(V)`, and longest-path depth of Table I,
 //! together with realistic per-layer parameter/activation sizes calibrated
-//! to the real models' int8 footprints (see `DESIGN.md`, substitution
-//! table).
+//! to the real models' int8 footprints.
 //!
 //! Construction recipe: a backbone chain realizes the published depth;
 //! residual models add single-node bypass branches that merge with

@@ -1,5 +1,5 @@
 //! Neural-network substrate for the RESPECT reproduction, built from
-//! scratch (the paper uses PyTorch; see `DESIGN.md` for the substitution).
+//! scratch in place of the PyTorch the paper uses.
 //!
 //! The pieces are exactly what the LSTM-PtrNet of the paper's Fig. 1b /
 //! Algorithm 1 needs:

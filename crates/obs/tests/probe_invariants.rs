@@ -9,10 +9,13 @@
 //!   the last `Acquire` of its (chain, resource), so the recorders'
 //!   busy seconds and spans equal a replay that pairs the stream
 //!   itself, over generated configurations;
+//! * FIFO jobs — on serve and fleet streams, a tenant's jobs on one
+//!   chain complete whole and in the order their batches closed, also
+//!   across live re-partitioning;
 //! * observation is free — a `NullProbe` run and a recorder-laden run
 //!   produce bitwise-identical reports.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +26,7 @@ use respect_sched::balanced::OpBalanced;
 use respect_sched::{Schedule, Scheduler};
 use respect_serve::{
     serve, serve_fleet, serve_fleet_probed, serve_probed, AdmissionPolicy, AutoscalePolicy,
-    BatchPolicy, FleetConfig, RouterPolicy, ServeConfig, ServeTenant,
+    BatchPolicy, DriftPolicy, FleetConfig, Repartitioner, RouterPolicy, ServeConfig, ServeTenant,
 };
 use respect_tpu::probe::{EngineKind, NullProbe, SpanProbe, TraceSpan};
 use respect_tpu::sim::{self, Arrivals, ResourceId, SimConfig, Workload};
@@ -69,14 +72,30 @@ struct Replay {
     spans: Vec<TraceSpan>,
     device_busy_s: f64,
     bus_busy_s: f64,
+    /// `RepartitionAccept`s that swapped a pipeline while a job closed
+    /// under the old one was still in flight behind the job whose
+    /// completion triggered the swap.
+    swaps_with_jobs_in_flight: u64,
+}
+
+/// One (chain, tenant)'s admitted requests, replayed: those in the open
+/// batch, and each closed batch's members still to complete, in close
+/// order.
+#[derive(Debug, Default)]
+struct JobFifo {
+    open: VecDeque<u32>,
+    jobs: VecDeque<Vec<u32>>,
 }
 
 /// Asserts conservation, span discipline and the hold stamp on a
-/// collected stream. `engine` says which events to expect: `sim` runs
-/// no admission control, so it emits no `Admit` or `Shed`.
+/// collected stream, and on serve and fleet streams that jobs complete
+/// in FIFO order. `engine` says which events to expect: `sim` runs no
+/// admission control, so it emits no `Admit` or `Shed`.
 fn check_stream(events: &[(f64, ProbeEvent)], offered: u64, engine: EngineKind) -> Replay {
     let mut replay = Replay::default();
     let (mut arrivals, mut admits, mut completions) = (0u64, 0u64, 0u64);
+    let mut fifos: BTreeMap<(u16, u32), JobFifo> = BTreeMap::new();
+    let batched = engine != EngineKind::Sim;
     // (chain, device-or-bus key) → (open hold, as its Acquire reported
     // it; last release time)
     let mut holds: BTreeMap<(u16, u32), (Option<TraceSpan>, f64)> = BTreeMap::new();
@@ -93,11 +112,64 @@ fn check_stream(events: &[(f64, ProbeEvent)], offered: u64, engine: EngineKind) 
         last_t = t;
         match ev {
             ProbeEvent::Arrival { .. } => arrivals += 1,
-            ProbeEvent::Admit { .. } => admits += 1,
+            ProbeEvent::Admit {
+                chain,
+                tenant,
+                request,
+            } => {
+                admits += 1;
+                let fifo = fifos.entry((chain, tenant)).or_default();
+                fifo.open.push_back(request);
+            }
             ProbeEvent::Shed { .. } => replay.sheds += 1,
-            ProbeEvent::Completion { latency_s, .. } => {
+            ProbeEvent::BatchClose {
+                chain,
+                tenant,
+                size,
+            } => {
+                let fifo = fifos.entry((chain, tenant)).or_default();
+                assert!(
+                    size as usize <= fifo.open.len(),
+                    "batch of {size} closes over {} open requests on chain {chain}",
+                    fifo.open.len()
+                );
+                let job = fifo.open.drain(..size as usize).collect();
+                fifo.jobs.push_back(job);
+            }
+            ProbeEvent::Completion {
+                chain,
+                tenant,
+                request,
+                latency_s,
+            } => {
                 completions += 1;
                 assert!(latency_s > 0.0, "sojourn must be positive");
+                if batched {
+                    let fifo = fifos.entry((chain, tenant)).or_default();
+                    let front = fifo.jobs.front_mut().unwrap_or_else(|| {
+                        panic!(
+                            "request {request} of tenant {tenant} completes with no job in flight"
+                        )
+                    });
+                    let at = front.iter().position(|&r| r == request).unwrap_or_else(|| {
+                        panic!(
+                            "request {request} of tenant {tenant} on chain {chain} completes \
+                             outside the oldest job in flight {front:?}"
+                        )
+                    });
+                    front.swap_remove(at);
+                    if front.is_empty() {
+                        fifo.jobs.pop_front();
+                    }
+                }
+            }
+            ProbeEvent::RepartitionAccept { chain, tenant } => {
+                // the job whose completion ran this evaluation emits its
+                // `Completion`s after the accept, so it is still queued
+                let in_flight = fifos.get(&(chain, tenant)).map_or(0, |f| f.jobs.len());
+                if in_flight >= 2 {
+                    replay.swaps_with_jobs_in_flight += 1;
+                }
             }
             ProbeEvent::Acquire {
                 chain,
@@ -178,6 +250,12 @@ fn check_stream(events: &[(f64, ProbeEvent)], offered: u64, engine: EngineKind) 
             "resource {res} of chain {chain} still held at end"
         );
     }
+    for ((chain, tenant), fifo) in &fifos {
+        assert!(
+            fifo.open.is_empty() && fifo.jobs.is_empty(),
+            "tenant {tenant} on chain {chain} ends with requests unbatched or in flight: {fifo:?}"
+        );
+    }
     replay
 }
 
@@ -239,6 +317,75 @@ fn fleet_stream_conserves_requests_and_nests_spans_per_chain() {
     assert!(active > 1, "the flood must have scaled the fleet up");
     let plain = serve_fleet(&tenants(&p), &cfg).unwrap();
     assert_eq!(plain, probed, "probing must not change the fleet run");
+}
+
+/// Batched, re-partitioning tenants on DenseNet-121's op-balanced
+/// 6-stage pipeline, offered about twice what one chain serves: deep
+/// backlogs, so jobs closed under one pipeline are still in flight
+/// when a drift swap installs the next.
+fn repartitioning_tenants(count: usize, requests: usize) -> Vec<ServeTenant> {
+    let spec = DeviceSpec::coral();
+    let dag = models::densenet121();
+    let schedule = OpBalanced::new().schedule(&dag, 6).unwrap();
+    let pipeline = compile::compile(&dag, &schedule, &spec).unwrap();
+    let rate = 2.0
+        / pipeline
+            .segments
+            .iter()
+            .map(|s| sim::batch_service_time(s, &spec, 1))
+            .fold(0.0, f64::max);
+    (0..count)
+        .map(|i| {
+            ServeTenant::new(pipeline.clone(), requests)
+                .with_arrivals(Arrivals::Poisson {
+                    rate: rate / count as f64,
+                    seed: 41 + i as u64,
+                })
+                .with_batcher(BatchPolicy::new(4, 1e-3))
+                .with_repartitioner(
+                    Repartitioner::new(dag.clone(), spec.cost_model()).with_policy(
+                        DriftPolicy::new()
+                            .with_window_jobs(8)
+                            .with_threshold(0.08)
+                            .with_max_swaps(3),
+                    ),
+                )
+        })
+        .collect()
+}
+
+#[test]
+fn serve_jobs_complete_in_batch_close_order_across_swaps() {
+    let tenants = repartitioning_tenants(2, 200);
+    let mut collect = Collect::default();
+    let report = serve_probed(
+        &tenants,
+        &DeviceSpec::coral(),
+        &ServeConfig::contended(),
+        &mut collect,
+    )
+    .unwrap();
+    let replay = check_stream(&collect.0, 400, EngineKind::Serve);
+    assert!(
+        replay.swaps_with_jobs_in_flight > 0,
+        "a swap must land while older jobs are in flight ({} swaps)",
+        report.tenants.iter().map(|t| t.swaps.len()).sum::<usize>()
+    );
+}
+
+#[test]
+fn fleet_jobs_complete_in_batch_close_order_across_swaps() {
+    let tenants = repartitioning_tenants(4, 150);
+    let cfg = FleetConfig::homogeneous(2, DeviceSpec::coral())
+        .with_contended_bus()
+        .with_router(RouterPolicy::JoinShortestBacklog);
+    let mut collect = Collect::default();
+    serve_fleet_probed(&tenants, &cfg, &mut collect).unwrap();
+    let replay = check_stream(&collect.0, 600, EngineKind::Fleet);
+    assert!(
+        replay.swaps_with_jobs_in_flight > 0,
+        "a swap must land while older jobs are in flight"
+    );
 }
 
 #[test]

@@ -6,9 +6,12 @@
 //! A [`ChainEngine`] owns everything that used to assume "the chain is
 //! the world": the devices and the (optional) shared USB bus — the
 //! [`respect_tpu::chain`] core that `respect_tpu::sim` drives too —
-//! plus per-tenant open batches, in-flight job slabs, timing caches,
-//! and drift windows. A job on the core is one closed batch: its slot
-//! is the job-slab key. What the engine does *not* own is the clock,
+//! plus per-tenant open batches, in-flight jobs, timing caches, and
+//! drift windows. A job on the core is one closed batch: its slot is
+//! its tenant's batch-close sequence number on this chain. Every device
+//! and the bus serve in FIFO order, so a tenant's jobs on one chain
+//! finish in the order their batches closed, and the in-flight jobs
+//! are a FIFO too. What the engine does *not* own is the clock,
 //! the pending-event set, or per-request bookkeeping (arrival/completion
 //! times, admitted order) — those belong to a **driver**: the
 //! single-chain driver in [`crate::runtime`] and the fleet driver in
@@ -19,6 +22,7 @@
 //! index, so fleet event dispatch stays allocation-free: the driver pops
 //! `Event::Chain { c, k }` and hands `k` to engine `c`.
 
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use respect_sched::repartition;
@@ -26,14 +30,13 @@ use respect_tpu::chain::{Chain, Finished, JobId, JobTable, StageEvent, StageTimi
 use respect_tpu::compile::{self, CompiledPipeline};
 use respect_tpu::device::DeviceSpec;
 use respect_tpu::event_queue::EventQueue;
-use respect_tpu::mem::{InlineVec, Slab};
 use respect_tpu::probe::{
     ChainSnapshot, EngineInspect, EngineKind, EngineSnapshot, Probe, ProbeEvent, ShedReason,
     TenantSnapshot,
 };
 use respect_tpu::sim::{self, ArrivalSampler};
 
-use crate::drift::{DriftWindow, Repartitioner};
+use crate::drift::{DriftWindow, Repartitioner, REFINE_PASSES};
 use crate::runtime::{AdmissionPolicy, ServeTenant, SwapRecord};
 
 /// One pending event of a serving run (single-chain or fleet). Ordered
@@ -71,21 +74,25 @@ pub(crate) enum ChainEvent {
     Stage(StageEvent),
 }
 
-pub(crate) fn base_holds(pipeline: &CompiledPipeline, spec: &DeviceSpec, batch: usize) -> Vec<f64> {
+/// The admission controller's service-time estimator: the largest
+/// single-request stage hold of `pipeline`.
+fn bottleneck_hold_s(pipeline: &CompiledPipeline, spec: &DeviceSpec, batch: usize) -> f64 {
     pipeline
         .segments
         .iter()
         .map(|seg| sim::batch_service_time(seg, spec, batch))
-        .collect()
+        .fold(0.0, f64::max)
 }
 
-/// One dynamic batch in flight. Lives in the tenant's job [`Slab`]
-/// from batch close to last-stage completion; its slot (and the member
-/// list's inline storage) is then recycled, so in-flight state costs
-/// no steady-state allocation.
+/// One dynamic batch in flight, from batch close to last-stage
+/// completion. Its members are the front `count` ids of the tenant's
+/// `members` queue once every job closed before it has completed.
 #[derive(Debug)]
 struct Job {
-    members: InlineVec<u32, 8>,
+    /// The first member: the request the job's probe events carry.
+    first: u32,
+    /// Requests in the batch.
+    count: usize,
     /// Per-stage timings, shared with the tenant's cache: jobs carrying
     /// the same member count under the same pipeline reuse one
     /// computation (invalidated on hot-swap; in-flight jobs keep the
@@ -100,9 +107,7 @@ struct Job {
 /// pre-refactor single-chain engine.
 struct ChainTenant {
     pipeline: CompiledPipeline,
-    /// Single-request per-stage holds of the *current* pipeline — the
-    /// admission controller's service-time estimator.
-    base_hold_s: Vec<f64>,
+    /// [`bottleneck_hold_s`] of the *current* pipeline.
     bottleneck_hold_s: f64,
     /// Requests admitted to this chain.
     admitted: usize,
@@ -116,15 +121,17 @@ struct ChainTenant {
     /// Requests inside jobs queued before stage 0 (not yet in
     /// service).
     waiting_stage0: usize,
-    /// In-flight jobs; slots recycle after the last stage completes.
-    jobs: Slab<Job>,
-    /// Jobs closed over the whole run (the slab only holds live ones).
+    /// Admitted requests of the in-flight jobs, in batch-close order.
+    members: VecDeque<u32>,
+    /// In-flight jobs, in batch-close order: the front job completes
+    /// first.
+    jobs: VecDeque<Job>,
+    /// Jobs closed over the whole run; job `slot` is
+    /// `jobs[slot - (jobs_executed - jobs.len())]`.
     jobs_executed: usize,
     /// Memoized per-stage job timings keyed by job member count, for
     /// the current pipeline. Invalidated on hot-swap.
     timing_cache: Vec<Option<Rc<[StageTiming]>>>,
-    /// Reusable buffer for per-stage holds handed to the drift window.
-    scratch_holds: Vec<f64>,
     window: DriftWindow,
     /// Re-partition evaluations that ran the refiner (bounded by
     /// `DriftPolicy::max_swaps` whether or not they swapped).
@@ -138,6 +145,12 @@ impl ChainTenant {
     fn waiting(&self) -> usize {
         self.open.len() + self.waiting_stage0
     }
+
+    /// The in-flight job closed `slot`-th.
+    #[inline]
+    fn job(&self, slot: u32) -> &Job {
+        &self.jobs[slot as usize - (self.jobs_executed - self.jobs.len())]
+    }
 }
 
 /// The chain's job store, as the resource core reads it.
@@ -146,14 +159,13 @@ struct Jobs<'s>(&'s [ChainTenant]);
 impl JobTable for Jobs<'_> {
     #[inline]
     fn timing(&self, job: JobId, k: usize) -> &StageTiming {
-        &self.0[job.tenant as usize].jobs[job.slot as usize].timing[k]
+        &self.0[job.tenant as usize].job(job.slot).timing[k]
     }
 
     /// A job's representative request (its first member).
     #[inline]
     fn request(&self, job: JobId) -> u32 {
-        let members = &self.0[job.tenant as usize].jobs[job.slot as usize].members;
-        members.as_slice().first().copied().unwrap_or(0)
+        self.0[job.tenant as usize].job(job.slot).first
     }
 }
 
@@ -215,27 +227,22 @@ impl<'a> ChainEngine<'a> {
             .unwrap_or(0);
         let states = tenants
             .iter()
-            .map(|t| {
-                let base = base_holds(&t.pipeline, &spec, t.batch);
-                let bottleneck = base.iter().copied().fold(0.0, f64::max);
-                ChainTenant {
-                    pipeline: t.pipeline.clone(),
-                    bottleneck_hold_s: bottleneck,
-                    admitted: 0,
-                    done_requests: 0,
-                    open: Vec::new(),
-                    open_epoch: 0,
-                    waiting_stage0: 0,
-                    jobs: Slab::new(),
-                    jobs_executed: 0,
-                    timing_cache: Vec::new(),
-                    scratch_holds: Vec::new(),
-                    window: DriftWindow::new(base.len()),
-                    repartition_attempts: 0,
-                    swaps: Vec::new(),
-                    busy_s: 0.0,
-                    base_hold_s: base,
-                }
+            .map(|t| ChainTenant {
+                pipeline: t.pipeline.clone(),
+                bottleneck_hold_s: bottleneck_hold_s(&t.pipeline, &spec, t.batch),
+                admitted: 0,
+                done_requests: 0,
+                open: Vec::new(),
+                open_epoch: 0,
+                waiting_stage0: 0,
+                members: VecDeque::new(),
+                jobs: VecDeque::new(),
+                jobs_executed: 0,
+                timing_cache: Vec::new(),
+                window: DriftWindow::new(t.pipeline.segments.len()),
+                repartition_attempts: 0,
+                swaps: Vec::new(),
+                busy_s: 0.0,
             })
             .collect();
         ChainEngine {
@@ -362,8 +369,8 @@ impl<'a> ChainEngine<'a> {
         let batch = self.tenants[w].batch;
         let st = &mut self.states[w];
         let count = st.open.len();
-        let mut members: InlineVec<u32, 8> = InlineVec::new();
-        members.extend(st.open.drain(..));
+        let first = st.open[0];
+        st.members.extend(st.open.drain(..));
         st.open_epoch += 1;
         if st.timing_cache.len() <= count {
             st.timing_cache.resize(count + 1, None);
@@ -381,6 +388,7 @@ impl<'a> ChainEngine<'a> {
                 fresh
             }
         };
+        let slot = st.jobs_executed as u32;
         st.jobs_executed += 1;
         if P::ENABLED {
             p.record(
@@ -392,7 +400,11 @@ impl<'a> ChainEngine<'a> {
                 },
             );
         }
-        let slot = st.jobs.insert(Job { members, timing }) as u32;
+        st.jobs.push_back(Job {
+            first,
+            count,
+            timing,
+        });
         let job = JobId {
             tenant: w as u32,
             slot,
@@ -410,7 +422,7 @@ impl<'a> ChainEngine<'a> {
     ) {
         if self.core.join(job, k, t, &Jobs(&self.states), q, p) && k == 0 {
             let st = &mut self.states[job.tenant as usize];
-            st.waiting_stage0 += st.jobs[job.slot as usize].members.len();
+            st.waiting_stage0 += st.job(job.slot).count;
         }
     }
 
@@ -421,40 +433,47 @@ impl<'a> ChainEngine<'a> {
         q: &mut impl EventQueue<Event>,
         p: &mut P,
     ) {
-        let (w, j) = (done.job.tenant as usize, done.job.slot as usize);
+        let w = done.job.tenant as usize;
         // busy-time integration for energy: spans never feed back into
         // event times, so the accounting is observation-only
         self.busy_s += done.held_s;
         self.states[w].busy_s += done.held_s;
         if let (0, Some(next)) = (done.k, done.next) {
             let st = &mut self.states[next.tenant as usize];
-            st.waiting_stage0 -= st.jobs[next.slot as usize].members.len();
+            st.waiting_stage0 -= st.job(next.slot).count;
         }
         // in-flight jobs finish on the partition they were formed under
-        if done.k + 1 < self.states[w].jobs[j].timing.len() {
+        if done.k + 1 < self.states[w].job(done.job.slot).timing.len() {
             self.join(done.job, done.k + 1, t, q, p);
         } else {
-            self.complete_job(w, j, t, p);
+            self.complete_job(w, done.job.slot, t, p);
         }
     }
 
-    fn complete_job<P: Probe>(&mut self, w: usize, j: usize, t: f64, p: &mut P) {
+    fn complete_job<P: Probe>(&mut self, w: usize, slot: u32, t: f64, p: &mut P) {
         let tenants = self.tenants;
         let st = &mut self.states[w];
-        let job = st.jobs.remove(j).expect("completing job is live");
-        for &r in job.members.as_slice() {
+        debug_assert_eq!(
+            slot as usize,
+            st.jobs_executed - st.jobs.len(),
+            "FIFO devices finish a tenant's jobs in batch-close order"
+        );
+        let job = st.jobs.pop_front().expect("completing job is in flight");
+        debug_assert_eq!(
+            st.members.front(),
+            Some(&job.first),
+            "the front job's first member heads the member queue"
+        );
+        for r in st.members.drain(..job.count) {
             self.completed.push((w as u32, r));
         }
-        let members = job.members.len();
-        st.done_requests += members;
-        self.in_system -= members;
+        st.done_requests += job.count;
+        self.in_system -= job.count;
         // the drift window tracks the current partition's stage count;
         // jobs formed before a swap may be shorter or longer — compare
         // only shape-matching observations
         if job.timing.len() == st.window.busy_s.len() {
-            st.scratch_holds.clear();
-            st.scratch_holds.extend(job.timing.iter().map(|s| s.hold_s));
-            st.window.observe(&st.scratch_holds, members);
+            st.window.observe(job.timing.iter().map(|s| s.hold_s));
         }
         if let Some(rep) = tenants[w].repartitioner.as_ref() {
             if st.window.jobs >= rep.policy.window_jobs {
@@ -474,8 +493,7 @@ impl<'a> ChainEngine<'a> {
         // schedule's own belief is enforced downstream: if no better
         // partition exists the refiner returns no gain and no swap
         // happens (min_gain gate).
-        let uniform = vec![1.0; st.window.busy_s.len()];
-        let divergence = st.window.divergence(&uniform);
+        let divergence = st.window.imbalance();
         st.window.reset();
         if divergence <= rep.policy.threshold {
             return;
@@ -499,7 +517,7 @@ impl<'a> ChainEngine<'a> {
             &rep.dag,
             rep.model,
             &st.pipeline.schedule,
-            rep.policy.passes,
+            REFINE_PASSES,
             &mut |pass: usize, moves_in_pass: usize, objective: f64| {
                 if P::ENABLED {
                     p.record(
@@ -556,9 +574,8 @@ impl<'a> ChainEngine<'a> {
             "refinement preserves the stage count"
         );
         st.pipeline = new_pipeline;
-        st.base_hold_s = base_holds(&st.pipeline, spec, batch);
-        st.bottleneck_hold_s = st.base_hold_s.iter().copied().fold(0.0, f64::max);
-        st.window = DriftWindow::new(st.base_hold_s.len());
+        st.bottleneck_hold_s = bottleneck_hold_s(&st.pipeline, spec, batch);
+        st.window = DriftWindow::new(st.pipeline.segments.len());
         // memoized timings describe the swapped-out pipeline; in-flight
         // jobs keep their own Rc snapshot, new jobs must recompute
         st.timing_cache.clear();

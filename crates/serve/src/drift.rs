@@ -39,14 +39,15 @@ pub struct DriftPolicy {
     /// Minimum relative objective gain a refined schedule must offer
     /// before it is swapped in (e.g. `0.02` = 2%).
     pub min_gain: f64,
-    /// Refinement passes handed to
-    /// [`respect_sched::repartition::refine_with`].
-    pub passes: usize,
 }
+
+/// Refinement passes handed to
+/// [`respect_sched::repartition::refine_with`] per attempt.
+pub(crate) const REFINE_PASSES: usize = 16;
 
 impl DriftPolicy {
     /// Defaults: 64-job windows, 10% share divergence, at most 4 swaps,
-    /// 2% minimum gain, 16 refinement passes.
+    /// 2% minimum gain.
     #[must_use]
     pub fn new() -> Self {
         DriftPolicy {
@@ -54,7 +55,6 @@ impl DriftPolicy {
             threshold: 0.10,
             max_swaps: 4,
             min_gain: 0.02,
-            passes: 16,
         }
     }
 
@@ -135,8 +135,6 @@ pub struct DriftWindow {
     pub busy_s: Vec<f64>,
     /// Jobs completed this window.
     pub jobs: usize,
-    /// Requests carried by those jobs.
-    pub requests: usize,
 }
 
 impl DriftWindow {
@@ -146,23 +144,26 @@ impl DriftWindow {
         DriftWindow {
             busy_s: vec![0.0; stages],
             jobs: 0,
-            requests: 0,
         }
     }
 
-    /// Folds one completed job into the window.
+    /// Folds one completed job's per-stage busy seconds into the window.
     ///
     /// Busy-time contributions must be finite and nonnegative; a NaN,
     /// infinite, or negative entry would poison the accumulated shares
-    /// and could make [`DriftWindow::divergence`] report garbage for
-    /// the rest of the run (one NaN makes every later divergence NaN,
+    /// and could make [`DriftWindow::imbalance`] report garbage for
+    /// the rest of the run (one NaN makes every later imbalance NaN,
     /// which compares false against any threshold and silently disables
     /// — or with an inverted comparison, permanently triggers —
     /// re-partitioning). Such entries are counted as zero busy time,
     /// and debug builds assert so the upstream bug is caught in tests.
-    pub fn observe(&mut self, stage_busy_s: &[f64], job_requests: usize) {
+    pub fn observe(
+        &mut self,
+        stage_busy_s: impl IntoIterator<Item = f64, IntoIter: ExactSizeIterator>,
+    ) {
+        let stage_busy_s = stage_busy_s.into_iter();
         debug_assert_eq!(stage_busy_s.len(), self.busy_s.len());
-        for (acc, &b) in self.busy_s.iter_mut().zip(stage_busy_s) {
+        for (acc, b) in self.busy_s.iter_mut().zip(stage_busy_s) {
             debug_assert!(
                 b.is_finite() && b >= 0.0,
                 "stage busy time must be finite and nonnegative, got {b}"
@@ -172,39 +173,31 @@ impl DriftWindow {
             }
         }
         self.jobs += 1;
-        self.requests += job_requests;
     }
 
     /// Clears the window (keeps the stage count).
     pub fn reset(&mut self) {
         self.busy_s.iter_mut().for_each(|b| *b = 0.0);
         self.jobs = 0;
-        self.requests = 0;
     }
 
-    /// Divergence between the measured busy-time shares and the
-    /// predicted per-stage service profile: `max_k |obs_k − pred_k|`
-    /// over normalized shares, in `[0, 1]`. Returns `0.0` while either
-    /// profile is all-zero (nothing measured yet, or a degenerate
-    /// prediction).
+    /// Imbalance of the measured busy-time shares against the balanced
+    /// ideal (`1/stages` each): `max_k |share_k − 1/stages|`, in
+    /// `[0, 1]`. Returns `0.0` while nothing has been measured.
     #[must_use]
-    pub fn divergence(&self, predicted_s: &[f64]) -> f64 {
-        debug_assert_eq!(predicted_s.len(), self.busy_s.len());
-        let obs_total: f64 = self.busy_s.iter().sum();
-        let pred_total: f64 = predicted_s.iter().sum();
-        // finiteness guards: a NaN or infinite total (a caller passing a
-        // garbage prediction) must yield "no drift", never a NaN that
-        // disables the threshold comparison downstream
-        let measurable =
-            obs_total > 0.0 && pred_total > 0.0 && obs_total.is_finite() && pred_total.is_finite();
-        if !measurable {
+    pub fn imbalance(&self) -> f64 {
+        let total: f64 = self.busy_s.iter().sum();
+        // finiteness guard: a NaN or infinite total (a poisoned
+        // accumulator) must yield "no drift", never a NaN that disables
+        // the threshold comparison downstream
+        if !(total > 0.0 && total.is_finite()) {
             return 0.0;
         }
-        let mut worst = 0.0f64;
-        for (&o, &p) in self.busy_s.iter().zip(predicted_s) {
-            worst = worst.max((o / obs_total - p / pred_total).abs());
-        }
-        worst
+        let ideal = 1.0 / self.busy_s.len() as f64;
+        self.busy_s
+            .iter()
+            .map(|&o| (o / total - ideal).abs())
+            .fold(0.0, f64::max)
     }
 }
 
@@ -215,33 +208,36 @@ mod tests {
     #[test]
     fn proportional_profiles_have_zero_divergence() {
         let mut w = DriftWindow::new(3);
-        w.observe(&[2.0, 4.0, 6.0], 1);
-        w.observe(&[1.0, 2.0, 3.0], 1);
-        // measured 3:6:9 is proportional to predicted 1:2:3
-        assert_eq!(w.divergence(&[1.0, 2.0, 3.0]), 0.0);
+        w.observe([2.0, 2.0, 2.0]);
+        w.observe([1.0, 1.0, 1.0]);
+        // measured 3:3:3 is proportional to the balanced ideal
+        assert_eq!(w.imbalance(), 0.0);
         assert_eq!(w.jobs, 2);
-        assert_eq!(w.requests, 2);
     }
 
     #[test]
     fn shifted_bottleneck_is_detected() {
         let mut w = DriftWindow::new(2);
-        // predicted an even split, measured 80/20
-        w.observe(&[8.0, 2.0], 4);
-        let d = w.divergence(&[1.0, 1.0]);
+        // the ideal is an even split; measured 80/20
+        w.observe([8.0, 2.0]);
+        let d = w.imbalance();
         assert!(
             (d - 0.3).abs() < 1e-12,
             "share shift 0.8-0.5 = 0.3, got {d}"
         );
+        // three stages measured 6:3:1 against thirds: 0.6 - 1/3
+        let mut v = DriftWindow::new(3);
+        v.observe([6.0, 3.0, 1.0]);
+        assert_eq!(v.imbalance(), 6.0 / 10.0 - 1.0 / 3.0);
     }
 
     #[test]
     fn empty_window_never_triggers() {
-        let w = DriftWindow::new(4);
-        assert_eq!(w.divergence(&[1.0, 1.0, 1.0, 1.0]), 0.0);
-        let mut w2 = DriftWindow::new(2);
-        w2.observe(&[1.0, 1.0], 1);
-        assert_eq!(w2.divergence(&[0.0, 0.0]), 0.0, "degenerate prediction");
+        assert_eq!(DriftWindow::new(4).imbalance(), 0.0);
+        assert_eq!(DriftWindow::new(0).imbalance(), 0.0, "no stages");
+        let mut w = DriftWindow::new(2);
+        w.observe([0.0, 0.0]);
+        assert_eq!(w.imbalance(), 0.0, "jobs with no busy time");
     }
 
     #[test]
@@ -249,19 +245,14 @@ mod tests {
         // direct accumulator corruption (the failure observe guards
         // against in release builds) yields "no drift", not NaN
         let mut w = DriftWindow::new(2);
-        w.observe(&[1.0, 1.0], 1);
+        w.observe([1.0, 3.0]);
         w.busy_s[0] = f64::NAN;
-        assert_eq!(w.divergence(&[1.0, 1.0]), 0.0);
+        assert_eq!(w.imbalance(), 0.0);
         w.busy_s[0] = f64::INFINITY;
-        assert_eq!(w.divergence(&[1.0, 1.0]), 0.0);
-        // garbage predictions are equally inert
-        let mut v = DriftWindow::new(2);
-        v.observe(&[3.0, 1.0], 1);
-        assert_eq!(v.divergence(&[f64::NAN, 1.0]), 0.0);
-        assert_eq!(v.divergence(&[f64::INFINITY, 1.0]), 0.0);
-        assert_eq!(v.divergence(&[-5.0, 1.0]), 0.0, "negative prediction total");
+        assert_eq!(w.imbalance(), 0.0);
         // a healthy window still measures drift after the checks
-        assert!(v.divergence(&[1.0, 1.0]) > 0.0);
+        w.busy_s[0] = 1.0;
+        assert!(w.imbalance() > 0.0);
     }
 
     #[test]
@@ -269,13 +260,13 @@ mod tests {
     #[should_panic(expected = "finite and nonnegative")]
     fn observe_rejects_poisoned_busy_time_in_debug() {
         let mut w = DriftWindow::new(1);
-        w.observe(&[f64::NAN], 1);
+        w.observe([f64::NAN]);
     }
 
     #[test]
     fn reset_clears_but_keeps_shape() {
         let mut w = DriftWindow::new(2);
-        w.observe(&[1.0, 2.0], 3);
+        w.observe([1.0, 2.0]);
         w.reset();
         assert_eq!(w, DriftWindow::new(2));
     }

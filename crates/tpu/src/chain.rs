@@ -19,10 +19,11 @@
 //! run this one walk, "degenerate serve ≡ `sim::run`" holds by
 //! construction.
 
+use std::collections::VecDeque;
+
 use crate::compile::Segment;
 use crate::device::DeviceSpec;
 use crate::event_queue::EventQueue;
-use crate::mem::SmallQueue;
 use crate::probe::{BusSnapshot, DeviceSnapshot, Probe, ProbeEvent};
 use crate::sim::ResourceId;
 use crate::usb;
@@ -74,8 +75,9 @@ impl StageTiming {
 }
 
 /// A job on the chain: its tenant and a slot the driver assigns (the
-/// request index in `sim`, the job-slab key in `respect_serve`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// request index in `sim`, the batch-close sequence number in
+/// `respect_serve`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobId {
     /// Tenant (workload) index.
     pub tenant: u32,
@@ -93,9 +95,8 @@ pub trait JobTable {
 }
 
 /// Which transfer of a stage a bus hold carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BusPhase {
-    #[default]
     Input,
     Stream,
     Output,
@@ -141,10 +142,10 @@ pub struct Finished {
 struct Device {
     busy: bool,
     seized_at: f64,
-    queue: SmallQueue<JobId, 4>,
+    queue: VecDeque<JobId>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct BusRequest {
     job: JobId,
     k: u16,
@@ -156,7 +157,7 @@ struct BusRequest {
 struct Bus {
     busy: bool,
     granted_at: f64,
-    queue: SmallQueue<BusRequest, 4>,
+    queue: VecDeque<BusRequest>,
     busy_s: f64,
 }
 
@@ -422,7 +423,7 @@ impl Chain {
     /// uncontended).
     #[must_use]
     pub fn bus_snapshot(&self) -> Option<BusSnapshot> {
-        self.contended_bus.then(|| BusSnapshot {
+        self.contended_bus.then_some(BusSnapshot {
             busy: self.bus.busy,
             queued: self.bus.queue.len(),
             busy_s: self.bus.busy_s,

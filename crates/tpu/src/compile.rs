@@ -11,7 +11,8 @@
 //!   quantizes them to int8 (min/max scan + rescale, the TFLite/Toco
 //!   post-training scheme the paper mentions in Step 4), lays the bytes
 //!   out into per-stage binary images, and partitions with the
-//!   parameter-balancing heuristic. Its wall-clock is therefore
+//!   operator-count-balancing heuristic ([`OpBalanced`]). Its
+//!   wall-clock is therefore
 //!   `O(weight bytes)` — the origin of the paper's Fig. 3 solving-time
 //!   gap against RESPECT's single forward pass.
 

@@ -3,7 +3,7 @@
 //! The paper evaluates on a physical host driving 4–6 Coral USB Edge TPUs
 //! over USB 3.0 (its Fig. 2). That hardware and Google's closed-source
 //! compiler are replaced here by a simulator that models exactly the
-//! effects the paper's schedulers optimize (see `DESIGN.md`):
+//! effects the paper's schedulers optimize:
 //!
 //! * [`device`] — the Coral device: 8 MiB on-chip parameter cache,
 //!   4 TOPS int8 compute, USB 3.0 link characteristics;
@@ -12,8 +12,8 @@
 //!   (the Fig. 5 "parameter caching" metric);
 //! * [`compile`] — the Edge TPU compiler emulation: weight
 //!   materialization, a real int8 quantization pass, binary layout, and
-//!   the parameter-balancing partitioner (its wall-clock stands in for
-//!   the commercial compiler's solving time in Fig. 3);
+//!   the operator-count-balancing partitioner (its wall-clock stands in
+//!   for the commercial compiler's solving time in Fig. 3);
 //! * [`chain`] — the device/bus core every engine drives: per-device
 //!   FIFO servers, an optionally shared host USB bus with FIFO
 //!   contention, and the stage walk over them;
@@ -23,8 +23,6 @@
 //!   [`CalendarQueue`], a sorted front run ahead of a calendar ring,
 //!   behind the [`EventQueue`] trait, differential-tested against a
 //!   binary-heap reference to pop identical `(time, seq)` sequences;
-//! * [`mem`] — allocation-lean containers (inline FIFO rings, inline
-//!   vectors, a deterministic slab) for the event hot path;
 //! * [`probe`] — zero-cost observability hooks: the [`Probe`] trait and
 //!   typed [`ProbeEvent`]s emitted by this engine and every serving
 //!   layer above it, compiled away under the default [`NullProbe`], and
@@ -60,7 +58,6 @@ pub mod device;
 pub mod energy;
 pub mod event_queue;
 pub mod exec;
-pub mod mem;
 pub mod probe;
 pub mod profiling;
 pub mod sim;

@@ -43,7 +43,8 @@
 //! `Release`, which carries the time its hold began.
 //!
 //! The hot path is allocation-free in steady state: the core's FIFOs
-//! are inline rings, the pending-event set reuses its buckets, and
+//! are `VecDeque`s that keep their capacity once they reach their
+//! deepest backlog, the pending-event set reuses its buckets, and
 //! per-tenant statistics stream into scalar accumulators (in the exact
 //! floating-point order of the seed implementation) instead of
 //! per-request arrays, so multi-hour soak horizons run in constant
