@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use respect::deploy::{self, Deployment};
 use respect_graph::models;
 use respect_sched::registry::BuildOptions;
-use respect_sched::{order, pack, Scheduler};
+use respect_sched::{pack, Scheduler};
 use respect_serve::{
     serve, serve_fleet, AdmissionPolicy, AutoscalePolicy, BatchPolicy, DriftPolicy, FleetConfig,
     Repartitioner, RouterPolicy, ServeConfig, ServeTenant,
@@ -64,6 +64,8 @@ pub struct Fig3Row {
     pub t_compiler_s: f64,
     /// Exact-method solving time, seconds.
     pub t_exact_s: f64,
+    /// Whether the exact run proved optimality (else `t_exact_s` is its budget).
+    pub exact_proven: bool,
 }
 
 impl Fig3Row {
@@ -87,7 +89,9 @@ pub fn fig3(quick: bool, exact_budget: Duration) -> Vec<Fig3Row> {
         for &stages in stage_counts(quick) {
             let (_, t_r) = timed_schedule(&comp.respect, &dag, stages);
             let (_, t_c) = timed_schedule(&comp.compiler, &dag, stages);
-            let (_, t_e) = timed_schedule(&comp.ilp, &dag, stages);
+            let t0 = Instant::now();
+            let exact = comp.ilp.solve(&dag, stages).expect("feasible");
+            let t_e = t0.elapsed();
             rows.push(Fig3Row {
                 name,
                 nodes: dag.len(),
@@ -95,6 +99,7 @@ pub fn fig3(quick: bool, exact_budget: Duration) -> Vec<Fig3Row> {
                 t_respect_s: t_r.as_secs_f64(),
                 t_compiler_s: t_c.as_secs_f64(),
                 t_exact_s: t_e.as_secs_f64(),
+                exact_proven: exact.proven_optimal,
             });
         }
     }
@@ -240,7 +245,6 @@ pub fn ablation(quick: bool) -> Vec<AblationRow> {
             let equal_cuts: Vec<usize> = (1..stages).map(|k| k * n / stages).collect();
             let equal = respect_sched::Schedule::from_cuts(&pi, &equal_cuts, stages);
             let (full, _) = pack::pack(&dag, &pi, stages, &model);
-            let _ = order::positions(&dag, &pi);
             rows.push(AblationRow {
                 name,
                 stages,
@@ -286,16 +290,16 @@ pub struct SimSweepRow {
 ///
 /// Panics on unknown names, listing the available ones.
 fn registry_scheduler(name: &str, spec: &DeviceSpec) -> Box<dyn Scheduler> {
-    deploy::registry(spec)
-        .build(
-            name,
-            &BuildOptions::default()
-                .with_cost_model(spec.cost_model())
-                // anytime solvers (ilp/exact) get the practical per-model
-                // cap the figure experiments use; other entries ignore it
-                .with_time_budget(Duration::from_secs(10)),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
+    deploy::scheduler(
+        name,
+        spec,
+        &BuildOptions::default()
+            .with_cost_model(spec.cost_model())
+            // anytime solvers (ilp/exact) get the practical per-model
+            // cap the figure experiments use; other entries ignore it
+            .with_time_budget(Duration::from_secs(10)),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Schedules `dag` with a sweep partitioner, or explains the skip

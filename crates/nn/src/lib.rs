@@ -13,7 +13,7 @@
 //! * [`attention`] — additive (Bahdanau-style) attention primitives used
 //!   for the glimpse and the pointer head;
 //! * [`params`] — named parameter collections;
-//! * [`optim`] — Adam and SGD;
+//! * [`optim`] — Adam;
 //! * [`serialize`] — a small self-describing binary weight format.
 //!
 //! # Example: differentiate a tiny expression

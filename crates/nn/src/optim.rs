@@ -15,32 +15,6 @@ pub trait Optimizer {
     fn step(&mut self, params: &mut Params, grads: &[Matrix]);
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len(), "grad count");
-        for (i, g) in grads.iter().enumerate() {
-            let p = params.value_at_mut(i);
-            for (w, &gi) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *w -= self.lr * gi;
-            }
-        }
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -132,17 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = quadratic_params(0.0);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = quad_grad(&p);
-            opt.step(&mut p, &g);
-        }
-        assert!((p.get("x").unwrap().get(0, 0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut p = quadratic_params(-5.0);
         let mut opt = Adam::new(0.3);
@@ -169,7 +132,7 @@ mod tests {
     #[should_panic(expected = "grad count")]
     fn mismatched_grads_panic() {
         let mut p = quadratic_params(0.0);
-        Sgd::new(0.1).step(&mut p, &[]);
+        Adam::new(0.1).step(&mut p, &[]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The paper compares many schedulers; downstream layers (the
 //! `respect::deploy` facade, the `reproduce` CLI, benches) want to pick
-//! one by name instead of hand-wiring each concrete type. The registry
-//! maps stable names to constructors parameterized by [`BuildOptions`]
-//! (cost model, seed, iteration/time budgets):
+//! one by name instead of hand-wiring each concrete type. [`build`]
+//! maps each of the stable [`NAMES`] to a scheduler parameterized by
+//! [`BuildOptions`] (cost model, seed, iteration/time budgets):
 //!
 //! | name             | scheduler                                  |
 //! |------------------|--------------------------------------------|
@@ -19,8 +19,8 @@
 //! | `"hu"`           | [`hu::HuList`]                             |
 //! | `"force"`        | [`force::ForceDirected`]                   |
 //!
-//! Layers above this crate extend a [`Registry`] with their own entries
-//! via [`Registry::register`] (the facade adds `"respect"`, the RL
+//! Layers above this crate resolve their own names first and hand every
+//! other name to [`build`] (the facade adds `"respect"`, the RL
 //! scheduler, and `"profiling"`, the device-aware partitioner — neither
 //! can live here without inverting the crate graph).
 //!
@@ -48,7 +48,6 @@
 //! [`hu::HuList`]: crate::hu::HuList
 //! [`force::ForceDirected`]: crate::force::ForceDirected
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -151,122 +150,62 @@ impl fmt::Display for RegistryError {
 
 impl Error for RegistryError {}
 
-type BuilderFn = Box<dyn Fn(&BuildOptions) -> Box<dyn Scheduler> + Send + Sync>;
+/// Every scheduler name [`build`] resolves, sorted.
+pub const NAMES: [&str; 9] = [
+    "anneal",
+    "brute",
+    "exact",
+    "force",
+    "greedy",
+    "hu",
+    "ilp",
+    "op-balanced",
+    "param-balanced",
+];
 
-/// A name → scheduler-constructor table.
-///
-/// [`Registry::builtin`] covers every algorithm in this crate; layers
-/// above extend it with [`Registry::register`]. Names enumerate in
-/// sorted order and resolution is exact (case-sensitive).
-#[derive(Default)]
-pub struct Registry {
-    entries: BTreeMap<String, BuilderFn>,
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> Self {
-        Registry::default()
-    }
-
-    /// The registry of every scheduler in this crate (9 entries; see the
-    /// [module docs](self) for the name table).
-    #[must_use]
-    pub fn builtin() -> Self {
-        let mut r = Registry::empty();
-        r.register("param-balanced", |_| Box::new(ParamBalanced::new()));
-        r.register("op-balanced", |_| Box::new(OpBalanced::new()));
-        r.register("greedy", |o| Box::new(GreedyCost::new(o.cost_model)));
-        r.register("anneal", |o| {
-            let mut a = Annealing::new(o.cost_model).with_seed(o.seed);
-            if let Some(iters) = o.iterations {
-                a = a.with_iterations(iters);
-            }
-            Box::new(a)
-        });
-        r.register("ilp", |o| {
-            let mut s = IlpScheduler::new(o.cost_model);
-            if let Some(b) = o.time_budget {
-                s = s.with_time_budget(b);
-            }
-            Box::new(s)
-        });
-        r.register("exact", |o| {
-            let mut s = ExactScheduler::new(o.cost_model);
-            if let Some(b) = o.time_budget {
-                s = s.with_time_budget(b);
-            }
-            Box::new(s)
-        });
-        r.register("brute", |o| Box::new(BruteForce::new(o.cost_model)));
-        r.register("hu", |o| Box::new(HuList::new(o.cost_model)));
-        r.register("force", |o| Box::new(ForceDirected::new(o.cost_model)));
-        r
-    }
-
-    /// Registers (or replaces) an entry.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        f: impl Fn(&BuildOptions) -> Box<dyn Scheduler> + Send + Sync + 'static,
-    ) {
-        self.entries.insert(name.into(), Box::new(f));
-    }
-
-    /// Every registered name, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// Constructs the scheduler registered under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::UnknownScheduler`] (listing every
-    /// available name) when `name` is not registered.
-    pub fn build(
-        &self,
-        name: &str,
-        options: &BuildOptions,
-    ) -> Result<Box<dyn Scheduler>, RegistryError> {
-        match self.entries.get(name) {
-            Some(f) => Ok(f(options)),
-            None => Err(RegistryError::UnknownScheduler {
-                name: name.to_string(),
-                available: self.names(),
-            }),
-        }
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-/// Every name in the builtin registry, sorted (convenience over
-/// [`Registry::builtin`]).
-pub fn names() -> Vec<String> {
-    Registry::builtin().names()
-}
-
-/// Constructs a builtin scheduler by name (convenience over
-/// [`Registry::builtin`]).
+/// Constructs the scheduler named `name` (one of [`NAMES`]; resolution
+/// is exact and case-sensitive).
 ///
 /// # Errors
 ///
-/// Returns [`RegistryError::UnknownScheduler`] for unregistered names.
+/// Returns [`RegistryError::UnknownScheduler`] (listing [`NAMES`]) for
+/// any other name.
 pub fn build(name: &str, options: &BuildOptions) -> Result<Box<dyn Scheduler>, RegistryError> {
-    Registry::builtin().build(name, options)
+    Ok(match name {
+        "anneal" => {
+            let mut a = Annealing::new(options.cost_model).with_seed(options.seed);
+            if let Some(iters) = options.iterations {
+                a = a.with_iterations(iters);
+            }
+            Box::new(a)
+        }
+        "brute" => Box::new(BruteForce::new(options.cost_model)),
+        "exact" => {
+            let mut s = ExactScheduler::new(options.cost_model);
+            if let Some(b) = options.time_budget {
+                s = s.with_time_budget(b);
+            }
+            Box::new(s)
+        }
+        "force" => Box::new(ForceDirected::new(options.cost_model)),
+        "greedy" => Box::new(GreedyCost::new(options.cost_model)),
+        "hu" => Box::new(HuList::new(options.cost_model)),
+        "ilp" => {
+            let mut s = IlpScheduler::new(options.cost_model);
+            if let Some(b) = options.time_budget {
+                s = s.with_time_budget(b);
+            }
+            Box::new(s)
+        }
+        "op-balanced" => Box::new(OpBalanced::new()),
+        "param-balanced" => Box::new(ParamBalanced::new()),
+        _ => {
+            return Err(RegistryError::UnknownScheduler {
+                name: name.to_string(),
+                available: NAMES.map(String::from).to_vec(),
+            })
+        }
+    })
 }
 
 #[cfg(test)]
@@ -294,10 +233,9 @@ mod tests {
 
     #[test]
     fn builtin_lists_all_nine_names_sorted() {
-        let names = names();
         assert_eq!(
-            names,
-            vec![
+            NAMES,
+            [
                 "anneal",
                 "brute",
                 "exact",
@@ -315,8 +253,8 @@ mod tests {
     fn every_builtin_schedules_the_small_dag() {
         let dag = small_dag();
         let opts = BuildOptions::default();
-        for name in names() {
-            let s = build(&name, &opts).unwrap().schedule(&dag, 3).unwrap();
+        for name in NAMES {
+            let s = build(name, &opts).unwrap().schedule(&dag, 3).unwrap();
             assert!(s.is_valid(&dag), "{name}");
             assert_eq!(s.num_stages(), 3, "{name}");
         }
@@ -358,15 +296,5 @@ mod tests {
         .schedule(&dag, 3)
         .unwrap();
         assert_eq!(a, b, "same seed and budget must reproduce bitwise");
-    }
-
-    #[test]
-    fn custom_registration_and_replacement() {
-        let mut r = Registry::builtin();
-        r.register("mine", |_| Box::new(OpBalanced::new()));
-        assert!(r.contains("mine"));
-        assert_eq!(r.names().len(), 10);
-        let s = r.build("mine", &BuildOptions::default()).unwrap();
-        assert_eq!(s.name(), "EdgeTPU compiler (op count)");
     }
 }

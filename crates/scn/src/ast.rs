@@ -173,11 +173,11 @@ impl Default for TenantSpec {
 /// Which engine the scenario drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The raw discrete-event simulator (`Deployment::simulate_workloads`).
+    /// The raw discrete-event simulator (`sim::run`).
     Sim,
-    /// The single-chain serving runtime (`Deployment::serve`).
+    /// The single-chain serving runtime (`serve`).
     Serve,
-    /// The fleet runtime (`Deployment::serve_fleet`).
+    /// The fleet runtime (`serve_fleet`).
     Fleet,
 }
 

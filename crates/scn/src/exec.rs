@@ -3,19 +3,22 @@
 //! and evaluate the assertions against the report.
 //!
 //! The interpreter adds no engine of its own — `run sim` literally
-//! calls [`Deployment::simulate_workloads`], `run serve` calls
-//! [`Deployment::serve`], `run fleet` calls [`Deployment::serve_fleet`]
-//! — so a `.scn` file is **bitwise-identical** to its hand-wired Rust
-//! twin by construction (property-pinned in `tests/scn_equivalence.rs`).
+//! calls [`sim::run_probed`], `run serve` calls [`serve_probed`], and
+//! `run fleet` calls [`serve_fleet_probed`] on a [`FleetConfig`]
+//! assembled from the `chains`, `router`, `autoscale` and `bus`
+//! directives — so a `.scn` file is **bitwise-identical** to its
+//! hand-wired Rust twin by construction (property-pinned in
+//! `tests/scn_equivalence.rs`).
 
 use std::time::Duration;
 
 use respect::deploy::Deployment;
 use respect::serve::{
-    ChainReport, FleetReport, ServeConfig, ServeReport, ServeTenant, TenantServeReport,
+    serve_fleet_probed, serve_probed, ChainReport, FleetConfig, FleetReport, ServeConfig,
+    ServeReport, ServeTenant, TenantServeReport,
 };
 use respect::tpu::probe::{NullProbe, Probe};
-use respect::tpu::sim::{Arrivals, SimConfig, SimReport, TenantReport, Workload};
+use respect::tpu::sim::{self, Arrivals, SimConfig, SimReport, TenantReport, Workload};
 use respect_graph::generate::{SyntheticConfig, SyntheticSampler};
 use respect_graph::Dag;
 
@@ -171,18 +174,6 @@ impl Scenario {
         if let Some(budget) = self.scheduler.budget_s {
             b = b.time_budget(Duration::from_secs_f64(budget));
         }
-        if self.run.engine == Engine::Fleet {
-            b = b.fleet(self.chains);
-            if let Some(router) = self.router {
-                b = b.router(router);
-            }
-            if let Some(autoscale) = self.autoscale {
-                b = b.autoscale(autoscale);
-            }
-            if self.contended_bus {
-                b = b.contended_bus();
-            }
-        }
         b.build().map_err(|e| {
             ScnError::at(
                 self.scheduler.pos.line,
@@ -274,8 +265,8 @@ impl Scenario {
                     SimConfig::uncontended()
                 };
                 RunOutput::Sim(
-                    d.simulate_workloads_probed(&workloads, &cfg, probe)
-                        .map_err(engine_err)?,
+                    sim::run_probed(&workloads, d.device(), &cfg, probe)
+                        .map_err(|e| engine_err(e.into()))?,
                 )
             }
             Engine::Serve => {
@@ -289,7 +280,10 @@ impl Scenario {
                 } else {
                     ServeConfig::uncontended()
                 };
-                RunOutput::Serve(d.serve_probed(&tenants, &cfg, probe).map_err(engine_err)?)
+                RunOutput::Serve(
+                    serve_probed(&tenants, d.device(), &cfg, probe)
+                        .map_err(|e| engine_err(e.into()))?,
+                )
             }
             Engine::Fleet => {
                 let tenants: Vec<ServeTenant> = self
@@ -297,7 +291,17 @@ impl Scenario {
                     .iter()
                     .map(|t| self.serve_tenant(&d, t))
                     .collect::<Result<_, _>>()?;
-                RunOutput::Fleet(d.serve_fleet_probed(&tenants, probe).map_err(engine_err)?)
+                let mut cfg = FleetConfig::homogeneous(self.chains, *d.device())
+                    .with_router(self.router.unwrap_or_default());
+                if let Some(autoscale) = self.autoscale {
+                    cfg = cfg.with_autoscale(autoscale);
+                }
+                if self.contended_bus {
+                    cfg = cfg.with_contended_bus();
+                }
+                RunOutput::Fleet(
+                    serve_fleet_probed(&tenants, &cfg, probe).map_err(|e| engine_err(e.into()))?,
+                )
             }
         };
         let run = ScenarioRun {

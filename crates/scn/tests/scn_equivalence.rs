@@ -1,14 +1,18 @@
 //! The DSL's load-bearing guarantee: a `.scn`-driven run is **bitwise
-//! identical** to the hand-wired `Deployment` twin, across a property
-//! grid of sim, serve, and fleet configurations. `PartialEq` on the
-//! engine reports compares every `f64` field, so any divergence in how
-//! the interpreter assembles workloads, policies, or configs fails
-//! loudly here.
+//! identical** to its hand-wired twin (a `Deployment` plus a direct
+//! engine call), across a property grid of sim, serve, and fleet
+//! configurations; fleet runs draw every router and an optional
+//! autoscaler. `PartialEq` on the engine reports compares every `f64`
+//! field, so any divergence in how the interpreter assembles workloads,
+//! policies, or configs fails loudly here.
 
 use proptest::prelude::*;
 use respect::deploy::Deployment;
-use respect::serve::{AdmissionPolicy, BatchPolicy, RouterPolicy, ServeConfig, ServeTenant};
-use respect::tpu::sim::{Arrivals, SimConfig, Workload};
+use respect::serve::{
+    serve, serve_fleet, AdmissionPolicy, AutoscalePolicy, BatchPolicy, FleetConfig, RouterPolicy,
+    ServeConfig, ServeTenant,
+};
+use respect::tpu::sim::{self, Arrivals, SimConfig, Workload};
 use respect_scn::{parse, RunOutput};
 
 const MODELS: [&str; 2] = ["resnet50", "xception"];
@@ -24,6 +28,8 @@ struct Params {
     rate: f64,
     engine_i: usize,
     chains: usize,
+    router: Option<RouterPolicy>,
+    autoscale: Option<AutoscalePolicy>,
     contended: bool,
     batcher: bool,
     admission: bool,
@@ -93,7 +99,21 @@ impl Params {
         }
         if self.engine_i == 2 {
             s.push_str(&format!("chains {}\n", self.chains));
-            s.push_str("router shortest\n");
+            match self.router {
+                None => {}
+                Some(RouterPolicy::RoundRobin) => s.push_str("router round-robin\n"),
+                Some(RouterPolicy::JoinShortestBacklog) => s.push_str("router shortest\n"),
+                Some(RouterPolicy::PowerOfTwoChoices { seed }) => {
+                    s.push_str(&format!("router p2c seed={seed}\n"));
+                }
+                Some(RouterPolicy::Affinity) => s.push_str("router affinity\n"),
+            }
+            if let Some(a) = self.autoscale {
+                s.push_str(&format!(
+                    "autoscale min={} up={} down={} check={}\n",
+                    a.min_chains, a.scale_up_s, a.scale_down_s, a.check_jobs
+                ));
+            }
         }
         s.push_str(&format!(
             "run {}\n",
@@ -102,24 +122,18 @@ impl Params {
         s
     }
 
-    /// The same configuration, hand-wired through the fluent facade.
+    /// The same configuration, hand-wired: the fluent facade schedules
+    /// and compiles, the engine is called directly.
     fn hand_wired(&self) -> RunOutput {
         let dag = match MODELS[self.model_i] {
             "resnet50" => respect::graph::models::resnet50(),
             _ => respect::graph::models::xception(),
         };
-        let mut b = Deployment::of(&dag)
+        let d = Deployment::of(&dag)
             .stages(self.stages)
-            .partitioner(SCHEDULERS[self.sched_i]);
-        if self.engine_i == 2 {
-            b = b
-                .fleet(self.chains)
-                .router(RouterPolicy::JoinShortestBacklog);
-            if self.contended {
-                b = b.contended_bus();
-            }
-        }
-        let d = b.build().expect("hand-wired deployment must build");
+            .partitioner(SCHEDULERS[self.sched_i])
+            .build()
+            .expect("hand-wired deployment must build");
         match self.engine_i {
             0 => {
                 let workloads: Vec<Workload> = (0..self.tenants)
@@ -137,7 +151,7 @@ impl Params {
                 } else {
                     SimConfig::uncontended()
                 };
-                RunOutput::Sim(d.simulate_workloads(&workloads, &cfg).unwrap())
+                RunOutput::Sim(sim::run(&workloads, d.device(), &cfg).unwrap())
             }
             engine => {
                 let tenants: Vec<ServeTenant> = (0..self.tenants)
@@ -162,9 +176,18 @@ impl Params {
                     } else {
                         ServeConfig::uncontended()
                     };
-                    RunOutput::Serve(d.serve(&tenants, &cfg).unwrap())
+                    RunOutput::Serve(serve(&tenants, d.device(), &cfg).unwrap())
                 } else {
-                    RunOutput::Fleet(d.serve_fleet(&tenants).unwrap())
+                    // no `router` line routes round-robin
+                    let mut cfg = FleetConfig::homogeneous(self.chains, *d.device())
+                        .with_router(self.router.unwrap_or(RouterPolicy::RoundRobin));
+                    if let Some(a) = self.autoscale {
+                        cfg = cfg.with_autoscale(a);
+                    }
+                    if self.contended {
+                        cfg = cfg.with_contended_bus();
+                    }
+                    RunOutput::Fleet(serve_fleet(&tenants, &cfg).unwrap())
                 }
             }
         }
@@ -172,7 +195,7 @@ impl Params {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn scn_runs_are_bitwise_the_hand_wired_twin(
@@ -185,8 +208,29 @@ proptest! {
         rate in 20.0f64..300.0,
         engine_i in 0usize..3,
         chains in 1usize..4,
+        router_i in 0usize..5,
+        router_seed in 0u64..1 << 20,
+        autoscale_u in 0usize..2,
+        min_chains in 1usize..4,
+        scale_up_s in 0.001f64..0.2,
+        down_frac in 0.0f64..1.0,
+        check_jobs in 1usize..32,
         flags in 0u64..8,
     ) {
+        let router = match router_i {
+            0 => Some(RouterPolicy::RoundRobin),
+            1 => Some(RouterPolicy::JoinShortestBacklog),
+            2 => Some(RouterPolicy::PowerOfTwoChoices { seed: router_seed }),
+            3 => Some(RouterPolicy::Affinity),
+            _ => None,
+        };
+        // the parser admits min <= chains and down <= up
+        let autoscale = (autoscale_u == 1).then(|| AutoscalePolicy {
+            min_chains: min_chains.min(chains),
+            scale_up_s,
+            scale_down_s: scale_up_s * down_frac,
+            check_jobs,
+        });
         let p = Params {
             model_i,
             sched_i,
@@ -197,6 +241,8 @@ proptest! {
             rate,
             engine_i,
             chains,
+            router,
+            autoscale,
             contended: flags & 1 != 0,
             batcher: flags & 2 != 0,
             admission: flags & 4 != 0,

@@ -25,22 +25,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|(n, _)| n.eq_ignore_ascii_case(&wanted))
         .ok_or_else(|| format!("unknown model {wanted:?}"))?;
     let spec = DeviceSpec::coral();
-    let registry = deploy::registry(&spec);
     let options = BuildOptions::default()
         .with_cost_model(spec.cost_model())
         .with_time_budget(Duration::from_secs(10));
 
     // Warm the process-wide RESPECT policy cache so the timed loop below
     // measures scheduling, not one-off smoke training.
-    let _ = registry.build("respect", &options)?;
+    let _ = deploy::scheduler("respect", &spec, &options)?;
 
     println!("{name}, {stages}-stage pipeline\n");
     println!(
         "{:<28} {:>12} {:>12} {:>12}",
         "scheduler", "objective(s)", "inf/s (sim)", "solve (s)"
     );
-    for key in registry.names() {
-        let scheduler = registry.build(&key, &options)?;
+    for key in deploy::registry_names() {
+        let scheduler = deploy::scheduler(key, &spec, &options)?;
         // time the solver alone; compile/simulate happen on the facade
         let t0 = Instant::now();
         let solved = scheduler.schedule(&dag, stages);

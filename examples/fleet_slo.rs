@@ -1,6 +1,6 @@
-//! Fleet-scale serving quickstart, on the unified `Deployment` API.
+//! Fleet-scale serving quickstart: one `Deployment`, three fleet shapes.
 //!
-//! Deploys DenseNet-121 on 6-TPU chains, offers a diurnal request
+//! Deploys DenseNet-121 on 6-TPU chains once, offers a diurnal request
 //! stream sized for a whole fleet, and shows the three regimes of
 //! horizontal scaling:
 //!
@@ -17,30 +17,31 @@
 
 use respect::deploy::Deployment;
 use respect::graph::models;
-use respect::serve::{AutoscalePolicy, BatchPolicy, FleetReport, RouterPolicy, ServeTenant};
+use respect::serve::{
+    serve_fleet, AutoscalePolicy, BatchPolicy, FleetConfig, FleetReport, RouterPolicy, ServeTenant,
+};
 use respect::tpu::sim::Arrivals;
 
 const CHAINS: usize = 12;
 
 fn main() -> Result<(), respect::Error> {
     let dag = models::densenet121();
+    let deployment = Deployment::of(&dag)
+        .stages(6)
+        .partitioner("op-balanced")
+        .build()?;
     let fleet = |n: usize| {
-        Deployment::of(&dag)
-            .stages(6)
-            .partitioner("op-balanced")
-            .fleet(n)
-            .router(RouterPolicy::JoinShortestBacklog)
-            .build()
+        FleetConfig::homogeneous(n, *deployment.device())
+            .with_router(RouterPolicy::JoinShortestBacklog)
     };
-    let single = fleet(1)?;
     let slo_p99_ms = 250.0;
 
     // batched closed-loop capacity of one chain
-    let closed = single
+    let closed = deployment
         .tenant(1_000)
         .with_warmup(100)
         .with_batcher(BatchPolicy::new(8, 5e-3));
-    let chain_cap = single.serve_fleet(&[closed])?.tenants[0].throughput_ips;
+    let chain_cap = serve_fleet(&[closed], &fleet(1))?.tenants[0].throughput_ips;
     println!("one chain: op-balanced, 6 stages, capacity {chain_cap:.0} ips");
     println!("SLO: p99 <= {slo_p99_ms:.0} ms\n");
 
@@ -54,7 +55,7 @@ fn main() -> Result<(), respect::Error> {
         seed: 1713,
     };
     let tenant = || -> ServeTenant {
-        single
+        deployment
             .tenant(n)
             .with_arrivals(diurnal)
             .with_warmup(n / 20)
@@ -85,28 +86,21 @@ fn main() -> Result<(), respect::Error> {
     };
 
     // 1. the same stream on one chain: decisively over the SLO
-    show("one chain", &single.serve_fleet(&[tenant()])?);
+    show("one chain", &serve_fleet(&[tenant()], &fleet(1))?);
 
     // 2. the routed fleet holds it
-    let routed = fleet(CHAINS)?;
-    let report = routed.serve_fleet(&[tenant()])?;
+    let report = serve_fleet(&[tenant()], &fleet(CHAINS))?;
     show("12-chain fleet", &report);
 
     // 3. autoscaled: chains power up through the day peak, down at night
-    let autoscaled = Deployment::of(&dag)
-        .stages(6)
-        .partitioner("op-balanced")
-        .fleet(CHAINS)
-        .router(RouterPolicy::JoinShortestBacklog)
-        .autoscale(
-            AutoscalePolicy::new()
-                .with_min_chains(2)
-                .with_scale_up_s(0.040)
-                .with_scale_down_s(0.004)
-                .with_check_jobs(16),
-        )
-        .build()?;
-    let auto_report = autoscaled.serve_fleet(&[tenant()])?;
+    let autoscaled = fleet(CHAINS).with_autoscale(
+        AutoscalePolicy::new()
+            .with_min_chains(2)
+            .with_scale_up_s(0.040)
+            .with_scale_down_s(0.004)
+            .with_check_jobs(16),
+    );
+    let auto_report = serve_fleet(&[tenant()], &autoscaled)?;
     show("12-chain, autoscaled", &auto_report);
     println!(
         "\nautoscaler: {} decisions; powered chain-seconds {:.1} of {:.1} always-on",

@@ -1,6 +1,6 @@
 //! Quickstart: train a small RESPECT policy on synthetic graphs and
-//! deploy ResNet-50 onto a 4-stage pipelined Edge TPU system with the
-//! unified `Deployment` API.
+//! deploy ResNet-50 onto a 4-stage pipelined Edge TPU system: the
+//! `Deployment` facade schedules and compiles, then streams inferences.
 //!
 //! ```text
 //! cargo run --release --example quickstart

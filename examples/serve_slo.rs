@@ -1,4 +1,4 @@
-//! SLO-aware online serving quickstart, on the unified `Deployment` API.
+//! SLO-aware online serving quickstart: a `Deployment` served by `serve`.
 //!
 //! Deploys DenseNet-121 on a 6-TPU chain with a deliberately weak
 //! partition (op-count balancing), offers it a bursty MMPP request
@@ -18,7 +18,7 @@
 
 use respect::deploy::Deployment;
 use respect::graph::models;
-use respect::serve::{AdmissionPolicy, BatchPolicy, DriftPolicy, ServeConfig, ServeTenant};
+use respect::serve::{serve, AdmissionPolicy, BatchPolicy, DriftPolicy, ServeConfig, ServeTenant};
 use respect::tpu::sim::Arrivals;
 
 fn main() -> Result<(), respect::Error> {
@@ -32,7 +32,8 @@ fn main() -> Result<(), respect::Error> {
 
     // static closed-loop capacity of the deployed partition
     let closed = deployment.tenant(600).with_warmup(60);
-    let static_cap = deployment.serve(&[closed], &cfg)?.tenants[0].throughput_ips;
+    let spec = deployment.device();
+    let static_cap = serve(&[closed], spec, &cfg)?.tenants[0].throughput_ips;
     println!("deployed partition: op-balanced, 6 stages, capacity {static_cap:.0} ips");
     println!("SLO: p99 <= {slo_p99_ms:.0} ms\n");
 
@@ -55,7 +56,7 @@ fn main() -> Result<(), respect::Error> {
         "configuration", "p50 ms", "p99 ms", "thr ips", "shed", "batch", "swaps"
     );
     let show = |name: &str, tenant: ServeTenant| -> Result<(), respect::Error> {
-        let t = deployment.serve(&[tenant], &cfg)?.tenants.remove(0);
+        let t = serve(&[tenant], spec, &cfg)?.tenants.remove(0);
         let slo = if t.p99_s() * 1e3 <= slo_p99_ms {
             "meets SLO"
         } else {

@@ -22,7 +22,9 @@ use std::fs;
 use respect::deploy::Deployment;
 use respect::graph::models;
 use respect::obs::{ChromeTraceRecorder, MetricsRecorder};
-use respect::serve::{AutoscalePolicy, BatchPolicy, RouterPolicy};
+use respect::serve::{
+    serve_fleet, serve_fleet_probed, AutoscalePolicy, BatchPolicy, FleetConfig, RouterPolicy,
+};
 use respect::tpu::sim::Arrivals;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,15 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deployment = Deployment::of(&dag)
         .stages(4)
         .partitioner("param-balanced")
-        .fleet(3)
-        .router(RouterPolicy::JoinShortestBacklog)
-        .autoscale(
+        .build()?;
+    let fleet = FleetConfig::homogeneous(3, *deployment.device())
+        .with_router(RouterPolicy::JoinShortestBacklog)
+        .with_autoscale(
             AutoscalePolicy::new()
                 .with_check_jobs(8)
                 .with_scale_up_s(0.010)
                 .with_scale_down_s(0.002),
-        )
-        .build()?;
+        );
     let tenant = || {
         deployment
             .tenant(800)
@@ -53,10 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut metrics = MetricsRecorder::new();
     let mut trace = ChromeTraceRecorder::new();
     let mut both = (&mut metrics, &mut trace);
-    let report = deployment.serve_fleet_probed(&[tenant()], &mut both)?;
+    let report = serve_fleet_probed(&[tenant()], &fleet, &mut both)?;
 
     // the probe is an observer, never a participant
-    let unprobed = deployment.serve_fleet(&[tenant()])?;
+    let unprobed = serve_fleet(&[tenant()], &fleet)?;
     assert_eq!(report, unprobed, "probing must not change the run");
 
     let snap = metrics.snapshot();

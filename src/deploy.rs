@@ -1,8 +1,8 @@
-//! One fluent entry point for the whole paper pipeline.
+//! One fluent entry point for the paper's partition → compile flow.
 //!
 //! The paper's flow — profile a DNN DAG, partition it onto an `n`-stage
 //! Edge TPU chain, compile, then execute or serve — used to require
-//! hand-wiring four crates. [`Deployment`] chains it:
+//! hand-wiring four crates. [`Deployment`] chains the first steps:
 //!
 //! ```
 //! use respect::deploy::Deployment;
@@ -22,78 +22,81 @@
 //! # }
 //! ```
 //!
-//! Partitioners are resolved by name through [`registry`] — the
-//! `respect_sched` builtin table plus `"respect"` (the RL scheduler) and
+//! Partitioners are resolved by name through [`scheduler`] — the
+//! `respect_sched` [`registry`] plus `"respect"` (the RL scheduler) and
 //! `"profiling"` (the device-aware partitioner). [`registry_names`]
 //! enumerates them. A pre-built scheduler can be injected with
 //! [`DeploymentBuilder::scheduler`] instead.
 //!
-//! The facade is additive sugar, not a new engine: every method is
-//! **bitwise-identical** to the hand-wired call it replaces
-//! (property-tested in `tests/deployment_equivalence.rs`):
+//! The facade is additive sugar, not a new engine: it owns what reads
+//! the deployment alone, and each piece is **bitwise-identical** to the
+//! hand-wired call it replaces (property-tested in
+//! `tests/deployment_equivalence.rs`):
 //!
 //! | facade call | hand-wired equivalent |
 //! |---|---|
 //! | [`DeploymentBuilder::build`] | `scheduler.schedule(..)` + `compile::compile(..)` |
 //! | [`Deployment::simulate`] | `exec::simulate(..)` |
-//! | [`Deployment::simulate_workloads`] | `sim::run(..)` |
-//! | [`Deployment::serve`] | `serve::serve(..)` |
-//! | [`Deployment::serve_fleet`] | `serve::fleet::serve_fleet(..)` |
 //!
-//! Every runtime entry point also has a `_probed` twin
-//! ([`Deployment::simulate_workloads_probed`], [`Deployment::serve_probed`],
-//! [`Deployment::serve_fleet_probed`]) threading a
-//! [`respect_tpu::probe::Probe`] through the engine, and
-//! [`Deployment::serve_fleet_with_metrics`] bundles a
-//! [`respect_obs::MetricsRecorder`] for the common "run it and give me
-//! the numbers" case.
+//! The engines take the deployment's pieces directly: a
+//! [`Deployment::workload`] goes to `sim::run` with
+//! [`Deployment::device`], a [`Deployment::tenant`] to `serve` with the
+//! device or to `serve_fleet` with a `FleetConfig` of the caller's own
+//! shape, and every engine error converts into [`Error`] with `?`.
 
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use respect_core::{train_policy, PtrNetPolicy, RespectScheduler, TrainConfig};
 use respect_graph::Dag;
-use respect_obs::{MetricsRecorder, MetricsSnapshot};
-use respect_sched::registry::{BuildOptions, Registry};
+use respect_sched::registry::{self, BuildOptions, RegistryError};
 use respect_sched::{CostModel, Schedule, Scheduler};
-use respect_serve::{
-    self as serve_rt, AutoscalePolicy, FleetConfig, FleetReport, Repartitioner, RouterPolicy,
-    ServeConfig, ServeReport, ServeTenant,
-};
+use respect_serve::{Repartitioner, ServeTenant};
 use respect_tpu::device::DeviceSpec;
 use respect_tpu::exec::InferenceReport;
-use respect_tpu::probe::Probe;
 use respect_tpu::profiling::ProfilingPartitioner;
-use respect_tpu::sim::{self, SimConfig, SimReport, Workload};
+use respect_tpu::sim::Workload;
 use respect_tpu::{compile, exec, CompiledPipeline};
 
 use crate::Error;
 
-/// The full scheduler registry of the workspace: the nine
-/// `respect_sched` builtins plus the two schedulers that live above that
-/// crate:
+/// Constructs the partitioner named `name` for `spec`: the nine
+/// [`registry::NAMES`] builtins plus the two schedulers that live above
+/// that crate:
 ///
 /// * `"respect"` — [`RespectScheduler`]: weights from the
 ///   `RESPECT_POLICY` env var (a `.rspp` path) when set and readable,
 ///   otherwise a smoke-scale policy trained once per process (seconds,
 ///   deterministic);
 /// * `"profiling"` — [`ProfilingPartitioner`] for `spec`.
-pub fn registry(spec: &DeviceSpec) -> Registry {
-    let mut r = Registry::builtin();
-    let spec = *spec;
-    r.register("respect", move |o| {
-        Box::new(RespectScheduler::new(default_policy()).with_cost_model(o.cost_model))
-    });
-    r.register("profiling", move |_| {
-        Box::new(ProfilingPartitioner::new(spec))
-    });
-    r
+///
+/// # Errors
+///
+/// [`RegistryError::UnknownScheduler`], listing [`registry_names`], for
+/// any other name.
+pub fn scheduler(
+    name: &str,
+    spec: &DeviceSpec,
+    options: &BuildOptions,
+) -> Result<Box<dyn Scheduler>, RegistryError> {
+    match name {
+        "profiling" => Ok(Box::new(ProfilingPartitioner::new(*spec))),
+        "respect" => Ok(Box::new(
+            RespectScheduler::new(default_policy()).with_cost_model(options.cost_model),
+        )),
+        _ => registry::build(name, options).map_err(|_| RegistryError::UnknownScheduler {
+            name: name.to_string(),
+            available: registry_names().into_iter().map(String::from).collect(),
+        }),
+    }
 }
 
-/// Sorted names of [`registry`] for the Coral device (the builtin nine
-/// plus `"profiling"` and `"respect"`).
-pub fn registry_names() -> Vec<String> {
-    registry(&DeviceSpec::coral()).names()
+/// Every name [`scheduler`] resolves, sorted: [`registry::NAMES`] plus
+/// `"profiling"` and `"respect"`.
+pub fn registry_names() -> Vec<&'static str> {
+    let mut names = [&registry::NAMES[..], &["profiling", "respect"]].concat();
+    names.sort_unstable();
+    names
 }
 
 /// The `"respect"` entry's policy: `RESPECT_POLICY` weights when
@@ -125,11 +128,6 @@ pub struct DeploymentBuilder<'a> {
     iterations: Option<usize>,
     time_budget: Option<Duration>,
     scheduler: Option<Box<dyn Scheduler>>,
-    fleet_n: usize,
-    fleet_chains: Option<Vec<DeviceSpec>>,
-    router: RouterPolicy,
-    autoscale: Option<AutoscalePolicy>,
-    fleet_contended: bool,
 }
 
 impl<'a> DeploymentBuilder<'a> {
@@ -143,11 +141,6 @@ impl<'a> DeploymentBuilder<'a> {
             iterations: None,
             time_budget: None,
             scheduler: None,
-            fleet_n: 1,
-            fleet_chains: None,
-            router: RouterPolicy::default(),
-            autoscale: None,
-            fleet_contended: false,
         }
     }
 
@@ -164,7 +157,7 @@ impl<'a> DeploymentBuilder<'a> {
         self
     }
 
-    /// Selects the partitioner by [`registry`] name. Default
+    /// Selects the partitioner by [`scheduler`] name. Default
     /// `"param-balanced"` (the commercial-compiler heuristic).
     pub fn partitioner(mut self, name: impl Into<String>) -> Self {
         self.partitioner = name.into();
@@ -198,58 +191,19 @@ impl<'a> DeploymentBuilder<'a> {
         self
     }
 
-    /// Serves over a homogeneous fleet of `n` chains of the deployment's
-    /// device (see [`Deployment::serve_fleet`]). Default 1.
-    pub fn fleet(mut self, n: usize) -> Self {
-        self.fleet_n = n;
-        self
-    }
-
-    /// Serves over a heterogeneous fleet with one [`DeviceSpec`] per
-    /// chain. Overrides [`DeploymentBuilder::fleet`].
-    pub fn chains(mut self, chains: &[DeviceSpec]) -> Self {
-        self.fleet_chains = Some(chains.to_vec());
-        self
-    }
-
-    /// Sets the fleet's request router. Default
-    /// [`RouterPolicy::RoundRobin`].
-    pub fn router(mut self, router: RouterPolicy) -> Self {
-        self.router = router;
-        self
-    }
-
-    /// Enables backlog-driven fleet autoscaling.
-    pub fn autoscale(mut self, autoscale: AutoscalePolicy) -> Self {
-        self.autoscale = Some(autoscale);
-        self
-    }
-
-    /// Switches every fleet chain to one shared FIFO host bus (as
-    /// [`FleetConfig::with_contended_bus`]). Affects
-    /// [`Deployment::serve_fleet`] only; `simulate_workloads` and
-    /// `serve` take their bus switch from their own config argument.
-    pub fn contended_bus(mut self) -> Self {
-        self.fleet_contended = true;
-        self
-    }
-
     /// Schedules and compiles: resolve the partitioner, compute the
     /// stage assignment, and compile it for the device chain.
     ///
     /// # Errors
     ///
-    /// [`Error::Sim`] ([`sim::SimError::InvalidSpec`]) when the device or a
-    /// [`DeploymentBuilder::chains`] spec fails [`DeviceSpec::validate`];
+    /// [`Error::Sim`] ([`respect_tpu::sim::SimError::InvalidSpec`]) when
+    /// the device fails [`DeviceSpec::validate`];
     /// [`Error::Registry`] when the partitioner name does not resolve;
     /// [`Error::Schedule`] when scheduling fails (zero stages, solver
     /// budget exhausted) or the schedule does not validate.
     pub fn build(self) -> Result<Deployment, Error> {
         // the cost model every partitioner reads is derived from the spec
         self.spec.validate()?;
-        for spec in self.fleet_chains.iter().flatten() {
-            spec.validate()?;
-        }
         let mut options = BuildOptions::default().with_cost_model(self.spec.cost_model());
         if let Some(seed) = self.seed {
             options = options.with_seed(seed);
@@ -262,28 +216,15 @@ impl<'a> DeploymentBuilder<'a> {
         }
         let scheduler = match self.scheduler {
             Some(s) => s,
-            None => registry(&self.spec).build(&self.partitioner, &options)?,
+            None => scheduler(&self.partitioner, &self.spec, &options)?,
         };
         let schedule = scheduler.schedule(self.dag, self.stages)?;
         let pipeline = compile::compile(self.dag, &schedule, &self.spec)?;
-        let chains = self
-            .fleet_chains
-            .unwrap_or_else(|| vec![self.spec; self.fleet_n]);
-        let mut fleet = FleetConfig::homogeneous(0, self.spec)
-            .with_chains(chains)
-            .with_router(self.router);
-        if let Some(autoscale) = self.autoscale {
-            fleet = fleet.with_autoscale(autoscale);
-        }
-        if self.fleet_contended {
-            fleet = fleet.with_contended_bus();
-        }
         Ok(Deployment {
             dag: self.dag.clone(),
             spec: self.spec,
             pipeline,
             scheduler_name: scheduler.name().to_string(),
-            fleet,
         })
     }
 }
@@ -296,7 +237,6 @@ pub struct Deployment {
     spec: DeviceSpec,
     pipeline: CompiledPipeline,
     scheduler_name: String,
-    fleet: FleetConfig,
 }
 
 impl Deployment {
@@ -360,45 +300,14 @@ impl Deployment {
 
     /// A [`Workload`] of `requests` requests over this deployment's
     /// pipeline, for scenario composition (`with_arrivals`,
-    /// `with_batch`, ...) before [`Deployment::simulate_workloads`].
+    /// `with_batch`, ...) before `sim::run` on [`Deployment::device`].
     pub fn workload(&self, requests: usize) -> Workload {
         Workload::new(self.pipeline.clone(), requests)
     }
 
-    /// Runs the discrete-event simulator over `workloads` (co-resident
-    /// on this deployment's device chain) under `cfg`. Identical to
-    /// [`sim::run`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Sim`] for degenerate workloads; see [`sim::run`].
-    pub fn simulate_workloads(
-        &self,
-        workloads: &[Workload],
-        cfg: &SimConfig,
-    ) -> Result<SimReport, Error> {
-        Ok(sim::run(workloads, &self.spec, cfg)?)
-    }
-
-    /// [`Deployment::simulate_workloads`] with a [`Probe`] observing
-    /// the event stream. With `NullProbe` this is bitwise
-    /// [`Deployment::simulate_workloads`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::simulate_workloads`].
-    pub fn simulate_workloads_probed<P: Probe>(
-        &self,
-        workloads: &[Workload],
-        cfg: &SimConfig,
-        probe: &mut P,
-    ) -> Result<SimReport, Error> {
-        Ok(sim::run_probed(workloads, &self.spec, cfg, probe)?)
-    }
-
     /// A [`ServeTenant`] of `requests` requests over this deployment's
     /// pipeline, for policy composition (`with_batcher`,
-    /// `with_admission`, ...) before [`Deployment::serve`].
+    /// `with_admission`, ...) before `serve` or `serve_fleet`.
     pub fn tenant(&self, requests: usize) -> ServeTenant {
         ServeTenant::new(self.pipeline.clone(), requests)
     }
@@ -407,82 +316,5 @@ impl Deployment {
     /// for live re-partitioning via `ServeTenant::with_repartitioner`.
     pub fn repartitioner(&self) -> Repartitioner {
         Repartitioner::new(self.dag.clone(), self.cost_model())
-    }
-
-    /// Runs the SLO-aware serving runtime for `tenants` under `cfg`.
-    /// Identical to [`serve_rt::serve`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Serve`] for degenerate tenants; see [`serve_rt::serve`].
-    pub fn serve(&self, tenants: &[ServeTenant], cfg: &ServeConfig) -> Result<ServeReport, Error> {
-        Ok(serve_rt::serve(tenants, &self.spec, cfg)?)
-    }
-
-    /// [`Deployment::serve`] with a [`Probe`] observing the event
-    /// stream. With `NullProbe` this is bitwise [`Deployment::serve`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve`].
-    pub fn serve_probed<P: Probe>(
-        &self,
-        tenants: &[ServeTenant],
-        cfg: &ServeConfig,
-        probe: &mut P,
-    ) -> Result<ServeReport, Error> {
-        Ok(serve_rt::serve_probed(tenants, &self.spec, cfg, probe)?)
-    }
-
-    /// The fleet configuration assembled from the builder's
-    /// [`DeploymentBuilder::fleet`] / [`DeploymentBuilder::chains`] /
-    /// [`DeploymentBuilder::router`] / [`DeploymentBuilder::autoscale`]
-    /// hooks. Clone and extend it (e.g.
-    /// `FleetConfig::with_contended_bus`) for switches the builder does
-    /// not expose, then call [`serve_rt::serve_fleet`].
-    pub fn fleet_config(&self) -> &FleetConfig {
-        &self.fleet
-    }
-
-    /// Runs the fleet serving runtime for `tenants` over the configured
-    /// fleet. Identical to [`serve_rt::serve_fleet`] on
-    /// [`Deployment::fleet_config`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Serve`] for degenerate tenants or fleet configs; see
-    /// [`serve_rt::serve_fleet`].
-    pub fn serve_fleet(&self, tenants: &[ServeTenant]) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet(tenants, &self.fleet)?)
-    }
-
-    /// [`Deployment::serve_fleet`] with a [`Probe`] observing the event
-    /// stream (router decisions and autoscale steps included). With
-    /// `NullProbe` this is bitwise [`Deployment::serve_fleet`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve_fleet`].
-    pub fn serve_fleet_probed<P: Probe>(
-        &self,
-        tenants: &[ServeTenant],
-        probe: &mut P,
-    ) -> Result<FleetReport, Error> {
-        Ok(serve_rt::serve_fleet_probed(tenants, &self.fleet, probe)?)
-    }
-
-    /// [`Deployment::serve_fleet`] with a [`MetricsRecorder`] attached,
-    /// returning the report together with the frozen metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::serve_fleet`].
-    pub fn serve_fleet_with_metrics(
-        &self,
-        tenants: &[ServeTenant],
-    ) -> Result<(FleetReport, MetricsSnapshot), Error> {
-        let mut metrics = MetricsRecorder::new();
-        let report = serve_rt::serve_fleet_probed(tenants, &self.fleet, &mut metrics)?;
-        Ok((report, metrics.snapshot()))
     }
 }

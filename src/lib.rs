@@ -5,12 +5,13 @@
 //! downstream users (and the `examples/` and `tests/` directories of
 //! this repository) can depend on a single crate.
 //!
-//! * [`deploy`] — the fluent end-to-end [`deploy::Deployment`] API:
-//!   schedule → compile → simulate/serve as one chained expression.
+//! * [`deploy`] — the fluent [`deploy::Deployment`] API: resolve a
+//!   partitioner by name, schedule and compile as one chained
+//!   expression, then hand the pipeline to any engine.
 //! * [`Error`] — the workspace-wide error type every subsystem error
 //!   converts into.
 //! * [`graph`] — DAG substrate, synthetic sampler, ImageNet model zoo.
-//! * [`nn`] — tape-based autodiff, LSTM, pointer attention, optimizers.
+//! * [`nn`] — tape-based autodiff, LSTM, pointer attention, Adam.
 //! * [`sched`] — schedules, packing DP, heuristic and exact schedulers,
 //!   and the [`sched::registry`] resolving each by stable name.
 //! * [`tpu`] — pipelined Coral Edge TPU system simulator and compiler.
@@ -67,9 +68,16 @@
 //!
 //! The member-crate APIs remain public and unchanged; the facade is
 //! additive and bitwise-equivalent to hand-wiring them (see [`deploy`]).
+//! The engines (`tpu::sim::run`, `serve::serve`, `serve::serve_fleet`)
+//! take a deployment's tenants and device directly.
 
 pub mod deploy;
 mod error;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use deploy::Deployment;
 pub use error::Error;

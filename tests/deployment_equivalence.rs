@@ -1,5 +1,7 @@
-//! The `Deployment` facade is sugar, not a new engine: every method
-//! must be **bitwise-identical** to the hand-wired calls it replaces.
+//! The `Deployment` facade is sugar, not a new engine: building and
+//! simulating must be **bitwise-identical** to the hand-wired calls they
+//! replace. Every other engine takes the deployment's pipeline and
+//! device directly, so it has nothing of its own to pin.
 
 use proptest::prelude::*;
 use respect::core::{PolicyConfig, PtrNetPolicy, RespectScheduler};
@@ -7,8 +9,6 @@ use respect::deploy::{self, Deployment};
 use respect::graph::models;
 use respect::sched::registry::BuildOptions;
 use respect::sched::Scheduler;
-use respect::serve::{serve, AdmissionPolicy, BatchPolicy, ServeConfig, ServeTenant};
-use respect::tpu::sim::{self, Arrivals, SimConfig, Workload};
 use respect::tpu::{compile, device::DeviceSpec, exec};
 
 /// Cheap deterministic partitioners safe to sweep over zoo models.
@@ -36,7 +36,7 @@ fn build_matches_hand_wired_schedule_and_compile() {
                     .partitioner(*key)
                     .build()
                     .unwrap();
-                let scheduler = deploy::registry(&spec).build(key, &opts).unwrap();
+                let scheduler = deploy::scheduler(key, &spec, &opts).unwrap();
                 let schedule = scheduler.schedule(&dag, stages).unwrap();
                 let pipeline = compile::compile(&dag, &schedule, &spec).unwrap();
                 assert_eq!(d.schedule(), &schedule, "{name}@{stages} {key}");
@@ -101,76 +101,5 @@ proptest! {
             facade.throughput_ips.to_bits(),
             hand.throughput_ips.to_bits()
         );
-    }
-
-    #[test]
-    fn simulate_workloads_is_bitwise_sim_run(
-        model_i in 0usize..3,
-        stages in 2usize..=6,
-        requests in 2usize..120,
-        batch in 1usize..4,
-        rate in 1.0f64..500.0,
-        seed in 0u64..1 << 40,
-        contended_u in 0usize..2,
-    ) {
-        let (_, dag) = model(model_i);
-        let spec = DeviceSpec::coral();
-        let d = Deployment::of(&dag)
-            .stages(stages)
-            .device(spec)
-            .partitioner("greedy")
-            .build()
-            .unwrap();
-        let cfg = if contended_u == 1 {
-            SimConfig::contended()
-        } else {
-            SimConfig::uncontended()
-        };
-        let shape = |p: respect::tpu::CompiledPipeline| {
-            Workload::new(p, requests)
-                .with_arrivals(Arrivals::Poisson { rate, seed })
-                .with_batch(batch)
-        };
-        let facade = d
-            .simulate_workloads(&[shape(d.pipeline().clone())], &cfg)
-            .unwrap();
-        let hand_pipeline = compile::compile(&dag, d.schedule(), &spec).unwrap();
-        let hand = sim::run(&[shape(hand_pipeline)], &spec, &cfg).unwrap();
-        prop_assert_eq!(&facade, &hand);
-    }
-
-    #[test]
-    fn serve_is_bitwise_serve_serve(
-        model_i in 0usize..3,
-        stages in 2usize..=6,
-        requests in 2usize..120,
-        max_batch in 1usize..6,
-        rate in 1.0f64..500.0,
-        seed in 0u64..1 << 40,
-        shed_u in 0usize..2,
-    ) {
-        let (_, dag) = model(model_i);
-        let spec = DeviceSpec::coral();
-        let d = Deployment::of(&dag)
-            .stages(stages)
-            .device(spec)
-            .partitioner("op-balanced")
-            .build()
-            .unwrap();
-        let cfg = ServeConfig::contended().with_completions();
-        let shape = |p: respect::tpu::CompiledPipeline| {
-            let t = ServeTenant::new(p, requests)
-                .with_arrivals(Arrivals::Poisson { rate, seed })
-                .with_batcher(BatchPolicy::new(max_batch, 2e-3));
-            if shed_u == 1 {
-                t.with_admission(AdmissionPolicy::SloDelay { target_s: 0.1 })
-            } else {
-                t
-            }
-        };
-        let facade = d.serve(&[shape(d.pipeline().clone())], &cfg).unwrap();
-        let hand_pipeline = compile::compile(&dag, d.schedule(), &spec).unwrap();
-        let hand = serve(&[shape(hand_pipeline)], &spec, &cfg).unwrap();
-        prop_assert_eq!(&facade, &hand);
     }
 }

@@ -1,13 +1,11 @@
-//! Acceptance test of the fleet serving layer, end to end through the
-//! `Deployment` facade:
+//! Acceptance test of the fleet serving layer, end to end from one
+//! `Deployment` served over fleets of several shapes:
 //!
 //! * under a **diurnal** open-loop load sized for the whole fleet, a
 //!   single chain blows a 250 ms p99 SLO decisively while a 12-chain
 //!   fleet behind join-shortest-backlog routing holds it;
 //! * the fleet report is **bitwise-identical** across repeated runs
-//!   with the same seed;
-//! * the facade's `serve_fleet` is sugar over the hand-wired
-//!   `respect_serve::fleet::serve_fleet`, bitwise.
+//!   with the same seed.
 
 use respect::deploy::Deployment;
 use respect::graph::models;
@@ -23,15 +21,19 @@ const FLEET_CHAINS: usize = 12;
 /// DenseNet-121 on 6-stage chains with the op-count-balancing partition
 /// — the same deliberately mediocre deployment the single-chain serving
 /// tests stress, replicated per chain.
-fn deployment(fleet: usize) -> Deployment {
+fn deployment() -> Deployment {
     Deployment::of(&models::densenet121())
         .stages(6)
         .device(DeviceSpec::coral())
         .partitioner("op-balanced")
-        .fleet(fleet)
-        .router(RouterPolicy::JoinShortestBacklog)
         .build()
         .unwrap()
+}
+
+/// `chains` chains of the deployment's device behind
+/// join-shortest-backlog routing.
+fn fleet(d: &Deployment, chains: usize) -> FleetConfig {
+    FleetConfig::homogeneous(chains, *d.device()).with_router(RouterPolicy::JoinShortestBacklog)
 }
 
 /// A diurnal request stream sized against the measured closed-loop
@@ -53,19 +55,17 @@ fn chain_capacity_ips(d: &Deployment) -> f64 {
     let closed = ServeTenant::new(d.pipeline().clone(), 1_000)
         .with_warmup(100)
         .with_batcher(BatchPolicy::new(8, 5e-3));
-    d.serve_fleet(&[closed]).unwrap().tenants[0].throughput_ips
+    serve_fleet(&[closed], &fleet(d, 1)).unwrap().tenants[0].throughput_ips
 }
 
 #[test]
 fn twelve_chain_fleet_holds_a_p99_slo_one_chain_cannot() {
-    let single = deployment(1);
-    let cap = chain_capacity_ips(&single);
+    let d = deployment();
+    let cap = chain_capacity_ips(&d);
     let n = 8_000;
 
     // 1. one chain drowns: the diurnal mean alone is 7x its capacity
-    let alone = single
-        .serve_fleet(&[diurnal_tenant(&single, cap, n)])
-        .unwrap();
+    let alone = serve_fleet(&[diurnal_tenant(&d, cap, n)], &fleet(&d, 1)).unwrap();
     assert!(
         alone.p99_s() > 4.0 * SLO_P99_S,
         "single-chain p99 {:.3}s should blow the {SLO_P99_S}s SLO decisively",
@@ -73,10 +73,8 @@ fn twelve_chain_fleet_holds_a_p99_slo_one_chain_cannot() {
     );
 
     // 2. the routed fleet holds the SLO on the same arrival stream
-    let fleet = deployment(FLEET_CHAINS);
-    let report = fleet
-        .serve_fleet(&[diurnal_tenant(&fleet, cap, n)])
-        .unwrap();
+    let routed = fleet(&d, FLEET_CHAINS);
+    let report = serve_fleet(&[diurnal_tenant(&d, cap, n)], &routed).unwrap();
     assert!(
         report.p99_s() <= SLO_P99_S,
         "fleet p99 {:.3}s must hold the {SLO_P99_S}s SLO",
@@ -106,23 +104,8 @@ fn twelve_chain_fleet_holds_a_p99_slo_one_chain_cannot() {
     }
 
     // 3. bitwise determinism of the full fleet configuration
-    let again = fleet
-        .serve_fleet(&[diurnal_tenant(&fleet, cap, n)])
-        .unwrap();
+    let again = serve_fleet(&[diurnal_tenant(&d, cap, n)], &routed).unwrap();
     assert_eq!(again, report, "same seed, same fleet report");
-}
-
-#[test]
-fn facade_serve_fleet_is_bitwise_the_hand_wired_fleet_call() {
-    let d = deployment(4);
-    let cap = chain_capacity_ips(&deployment(1));
-    let tenant = diurnal_tenant(&d, cap, 600);
-    let facade = d.serve_fleet(std::slice::from_ref(&tenant)).unwrap();
-    let hand_cfg = FleetConfig::homogeneous(4, DeviceSpec::coral())
-        .with_router(RouterPolicy::JoinShortestBacklog);
-    assert_eq!(d.fleet_config(), &hand_cfg);
-    let hand = serve_fleet(std::slice::from_ref(&tenant), &hand_cfg).unwrap();
-    assert_eq!(facade, hand);
 }
 
 #[test]
@@ -130,23 +113,16 @@ fn autoscaled_fleet_powers_chains_with_the_diurnal_wave() {
     // With autoscaling the fleet starts at a 2-chain floor, grows
     // through the diurnal peaks, and the energy ledger reflects it:
     // total powered time stays strictly under chains x makespan.
-    let d = Deployment::of(&models::densenet121())
-        .stages(6)
-        .device(DeviceSpec::coral())
-        .partitioner("op-balanced")
-        .fleet(FLEET_CHAINS)
-        .router(RouterPolicy::JoinShortestBacklog)
-        .autoscale(
-            AutoscalePolicy::new()
-                .with_min_chains(2)
-                .with_scale_up_s(0.040)
-                .with_scale_down_s(0.004)
-                .with_check_jobs(16),
-        )
-        .build()
-        .unwrap();
-    let cap = chain_capacity_ips(&deployment(1));
-    let report = d.serve_fleet(&[diurnal_tenant(&d, cap, 4_000)]).unwrap();
+    let d = deployment();
+    let autoscaled = fleet(&d, FLEET_CHAINS).with_autoscale(
+        AutoscalePolicy::new()
+            .with_min_chains(2)
+            .with_scale_up_s(0.040)
+            .with_scale_down_s(0.004)
+            .with_check_jobs(16),
+    );
+    let cap = chain_capacity_ips(&d);
+    let report = serve_fleet(&[diurnal_tenant(&d, cap, 4_000)], &autoscaled).unwrap();
     assert!(
         !report.scale_events.is_empty(),
         "diurnal swings must move the autoscaler"

@@ -19,7 +19,8 @@ use std::path::Path;
 
 use respect::deploy::Deployment;
 use respect::graph::models;
-use respect::serve::{AdmissionPolicy, BatchPolicy, RouterPolicy};
+use respect::obs::MetricsRecorder;
+use respect::serve::{serve_fleet_probed, AdmissionPolicy, BatchPolicy, FleetConfig, RouterPolicy};
 use respect::tpu::sim::Arrivals;
 
 const GOLDEN_PATH: &str = "tests/golden/metrics_snapshot.txt";
@@ -32,10 +33,10 @@ fn run_exposition() -> String {
     let deployment = Deployment::of(&dag)
         .stages(4)
         .partitioner("param-balanced")
-        .fleet(2)
-        .router(RouterPolicy::JoinShortestBacklog)
         .build()
         .expect("deployment builds");
+    let fleet = FleetConfig::homogeneous(2, *deployment.device())
+        .with_router(RouterPolicy::JoinShortestBacklog);
     let tenant = deployment
         .tenant(400)
         .with_arrivals(Arrivals::Poisson {
@@ -44,9 +45,9 @@ fn run_exposition() -> String {
         })
         .with_batcher(BatchPolicy::new(4, 2e-3))
         .with_admission(AdmissionPolicy::QueueBound { max_waiting: 16 });
-    let (report, snap) = deployment
-        .serve_fleet_with_metrics(&[tenant])
-        .expect("fleet run succeeds");
+    let mut metrics = MetricsRecorder::new();
+    let report = serve_fleet_probed(&[tenant], &fleet, &mut metrics).expect("fleet run succeeds");
+    let snap = metrics.snapshot();
     // the snapshot agrees with the report before we pin it
     assert_eq!(snap.counter("arrivals"), Some(report.offered() as u64));
     assert_eq!(snap.counter("admitted"), Some(report.admitted() as u64));

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use respect::deploy::{self, Deployment};
 use respect::graph::{models, SyntheticConfig, SyntheticSampler};
-use respect::sched::registry::{self, BuildOptions, Registry, RegistryError};
+use respect::sched::registry::{self, BuildOptions, RegistryError};
 use respect::tpu::device::DeviceSpec;
 
 fn options() -> BuildOptions {
@@ -26,7 +26,7 @@ fn tiny_dag() -> respect::graph::Dag {
 
 #[test]
 fn builtin_registry_lists_at_least_nine_names() {
-    let names = registry::names();
+    let names = registry::NAMES;
     assert!(names.len() >= 9, "{names:?}");
     for expected in [
         "param-balanced",
@@ -39,7 +39,7 @@ fn builtin_registry_lists_at_least_nine_names() {
         "hu",
         "force",
     ] {
-        assert!(names.iter().any(|n| n == expected), "missing {expected}");
+        assert!(names.contains(&expected), "missing {expected}");
     }
 }
 
@@ -48,12 +48,12 @@ fn every_builtin_name_schedules_a_zoo_model_validly() {
     let dag = models::xception();
     let tiny = tiny_dag();
     let opts = options();
-    for name in registry::names() {
+    for name in registry::NAMES {
         // exhaustive enumeration cannot cover a 134-node model; `brute`
         // is exercised on a graph inside its cap (and the zoo-model
         // refusal is its own test below)
         let target = if name == "brute" { &tiny } else { &dag };
-        let scheduler = registry::build(&name, &opts).unwrap_or_else(|e| panic!("{e}"));
+        let scheduler = registry::build(name, &opts).unwrap_or_else(|e| panic!("{e}"));
         let schedule = scheduler
             .schedule(target, 4)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -67,14 +67,14 @@ fn every_builtin_name_schedules_a_zoo_model_validly() {
 fn every_builtin_name_is_deterministic_per_seed() {
     let dag = models::xception();
     let tiny = tiny_dag();
-    for name in registry::names() {
+    for name in registry::NAMES {
         let target = if name == "brute" { &tiny } else { &dag };
         let opts = options().with_seed(0xd1ce);
-        let a = registry::build(&name, &opts)
+        let a = registry::build(name, &opts)
             .unwrap_or_else(|e| panic!("{e}"))
             .schedule(target, 4)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let b = registry::build(&name, &opts)
+        let b = registry::build(name, &opts)
             .unwrap_or_else(|e| panic!("{e}"))
             .schedule(target, 4)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -119,6 +119,11 @@ fn unknown_names_return_a_structured_error_not_a_panic() {
         .unwrap_err();
     assert!(matches!(err, respect::Error::Registry(_)), "{err}");
     assert!(err.to_string().contains("cplex"), "{err}");
+    // the facade's error lists every name it resolves
+    let respect::Error::Registry(RegistryError::UnknownScheduler { available, .. }) = err else {
+        panic!("unexpected error shape: {err}");
+    };
+    assert_eq!(available, deploy::registry_names());
 }
 
 #[test]
@@ -126,12 +131,12 @@ fn deploy_registry_adds_respect_and_profiling() {
     let spec = DeviceSpec::coral();
     let names = deploy::registry_names();
     assert!(names.len() >= 11, "{names:?}");
-    assert!(names.iter().any(|n| n == "respect"), "{names:?}");
-    assert!(names.iter().any(|n| n == "profiling"), "{names:?}");
+    assert!(names.contains(&"respect"), "{names:?}");
+    assert!(names.contains(&"profiling"), "{names:?}");
+    assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
 
     let dag = models::xception();
-    let s = deploy::registry(&spec)
-        .build("profiling", &options())
+    let s = deploy::scheduler("profiling", &spec, &options())
         .unwrap_or_else(|e| panic!("{e}"))
         .schedule(&dag, 4)
         .unwrap();
@@ -156,20 +161,4 @@ fn respect_entry_schedules_by_name_end_to_end() {
         .build()
         .unwrap();
     assert_eq!(deployment.schedule(), again.schedule());
-}
-
-#[test]
-fn custom_entries_extend_the_registry() {
-    let mut r = Registry::builtin();
-    r.register("my-balanced", |_| {
-        Box::new(respect::sched::balanced::OpBalanced::new())
-    });
-    assert!(r.contains("my-balanced"));
-    let dag = tiny_dag();
-    let s = r
-        .build("my-balanced", &BuildOptions::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-        .schedule(&dag, 3)
-        .unwrap();
-    assert!(s.is_valid(&dag));
 }

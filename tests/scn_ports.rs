@@ -13,7 +13,9 @@
 use respect::deploy::Deployment;
 use respect::graph::models;
 use respect::sched::{balanced::ParamBalanced, Scheduler};
-use respect::serve::{AutoscalePolicy, BatchPolicy, RouterPolicy, ServeTenant};
+use respect::serve::{
+    serve_fleet, AutoscalePolicy, BatchPolicy, FleetConfig, RouterPolicy, ServeTenant,
+};
 use respect::tpu::sim::{self, Arrivals, SimConfig, Workload};
 use respect::tpu::{compile, device::DeviceSpec, CompiledPipeline};
 use respect_scn::{run_source, RunOutput};
@@ -227,7 +229,7 @@ fn port_co_residency_degrades_throughput() {
 /// Port of `autoscaled_fleet_powers_chains_with_the_diurnal_wave`
 /// (scaled down): the autoscaled fleet scales up through diurnal peaks
 /// and leaves real unpowered capacity, and the `.scn` fleet report is
-/// bitwise the facade's.
+/// bitwise the hand-wired fleet call's.
 #[test]
 fn port_autoscaled_fleet_rides_the_diurnal_wave() {
     let chains = 6;
@@ -236,29 +238,16 @@ fn port_autoscaled_fleet_rides_the_diurnal_wave() {
         .stages(6)
         .device(DeviceSpec::coral())
         .partitioner("op-balanced")
-        .fleet(chains)
-        .router(RouterPolicy::JoinShortestBacklog)
-        .autoscale(
-            AutoscalePolicy::new()
-                .with_min_chains(2)
-                .with_scale_up_s(0.040)
-                .with_scale_down_s(0.004)
-                .with_check_jobs(16),
-        )
         .build()
         .unwrap();
     let cap = {
-        let single = Deployment::of(&models::densenet121())
-            .stages(6)
-            .device(DeviceSpec::coral())
-            .partitioner("op-balanced")
-            .fleet(1)
-            .build()
-            .unwrap();
-        let closed = ServeTenant::new(single.pipeline().clone(), 1_000)
+        let closed = ServeTenant::new(d.pipeline().clone(), 1_000)
             .with_warmup(100)
             .with_batcher(BatchPolicy::new(8, 5e-3));
-        single.serve_fleet(&[closed]).unwrap().tenants[0].throughput_ips
+        serve_fleet(&[closed], &FleetConfig::homogeneous(1, *d.device()))
+            .unwrap()
+            .tenants[0]
+            .throughput_ips
     };
     let mean = 4.0 * cap;
     let tenant = ServeTenant::new(d.pipeline().clone(), n)
@@ -270,7 +259,16 @@ fn port_autoscaled_fleet_rides_the_diurnal_wave() {
         })
         .with_warmup(n / 20)
         .with_batcher(BatchPolicy::new(8, 5e-3));
-    let oracle = d.serve_fleet(&[tenant]).unwrap();
+    let autoscaled = FleetConfig::homogeneous(chains, *d.device())
+        .with_router(RouterPolicy::JoinShortestBacklog)
+        .with_autoscale(
+            AutoscalePolicy::new()
+                .with_min_chains(2)
+                .with_scale_up_s(0.040)
+                .with_scale_down_s(0.004)
+                .with_check_jobs(16),
+        );
+    let oracle = serve_fleet(&[tenant], &autoscaled).unwrap();
     assert!(!oracle.scale_events.is_empty());
     let powered: f64 = oracle.chains.iter().map(|c| c.powered_s).sum();
     assert!(powered < 0.95 * chains as f64 * oracle.makespan_s);

@@ -86,8 +86,8 @@ fn every_registry_scheduler_is_bounded_below_by_the_optimum() {
         let dag = small_dag(seed, 9);
         let stages = 3;
         let optimum = brute::optimal_objective(&dag, stages, &model);
-        for name in registry::names() {
-            let s = registry::build(&name, &opts)
+        for name in registry::NAMES {
+            let s = registry::build(name, &opts)
                 .unwrap_or_else(|e| panic!("{e}"))
                 .schedule(&dag, stages)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

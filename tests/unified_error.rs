@@ -8,8 +8,8 @@ use respect::graph::{GraphError, NodeId};
 use respect::nn::serialize::WeightIoError;
 use respect::sched::registry::RegistryError;
 use respect::sched::ScheduleError;
-use respect::serve::ServeError;
-use respect::tpu::sim::SimError;
+use respect::serve::{serve, serve_fleet, FleetConfig, ServeConfig, ServeError};
+use respect::tpu::sim::{self, SimConfig, SimError};
 use respect::tpu::DeviceSpec;
 use respect::Error;
 
@@ -82,13 +82,15 @@ fn question_mark_unifies_the_whole_pipeline() {
             .partitioner("greedy")
             .build()?;
         let report = deployment.simulate(50)?;
-        let sweep = deployment.simulate_workloads(
+        let sweep = sim::run(
             &[deployment.workload(20)],
-            &respect::tpu::sim::SimConfig::uncontended(),
+            deployment.device(),
+            &SimConfig::uncontended(),
         )?;
-        let served = deployment.serve(
+        let served = serve(
             &[deployment.tenant(20)],
-            &respect::serve::ServeConfig::default(),
+            deployment.device(),
+            &ServeConfig::default(),
         )?;
         Ok(report.throughput_ips
             + sweep.tenants[0].throughput_ips
@@ -108,14 +110,14 @@ fn failures_surface_as_the_matching_variant() {
     let err = deployment.simulate(0).unwrap_err();
     assert!(matches!(err, Error::Sim(SimError::NoRequests)));
 
-    let err = deployment
-        .simulate_workloads(&[], &respect::tpu::sim::SimConfig::uncontended())
-        .unwrap_err();
+    let err: Error = sim::run(&[], deployment.device(), &SimConfig::uncontended())
+        .unwrap_err()
+        .into();
     assert!(matches!(err, Error::Sim(SimError::NoWorkloads)));
 
-    let err = deployment
-        .serve(&[], &respect::serve::ServeConfig::default())
-        .unwrap_err();
+    let err: Error = serve(&[], deployment.device(), &ServeConfig::default())
+        .unwrap_err()
+        .into();
     assert!(matches!(err, Error::Serve(ServeError::NoTenants)));
 
     // a degenerate device is rejected before its cost model schedules
@@ -150,12 +152,13 @@ fn failures_surface_as_the_matching_variant() {
                 "{partitioner} on {spec:?}: {err}"
             );
         }
-        let err = Deployment::of(&dag)
-            .chains(&[coral, spec])
-            .build()
-            .unwrap_err();
+        // a degenerate fleet chain is refused before anything runs
+        let fleet = FleetConfig::default().with_chains(vec![coral, spec]);
+        let err: Error = serve_fleet(&[deployment.tenant(20)], &fleet)
+            .unwrap_err()
+            .into();
         assert!(
-            matches!(err, Error::Sim(SimError::InvalidSpec { .. })),
+            matches!(err, Error::Serve(ServeError::Spec(_))),
             "chain {spec:?}: {err}"
         );
     }
